@@ -1,15 +1,16 @@
 //! Emits `BENCH_sweep.json`: throughput of a representative grid sweep
 //! (runs/sec, events/sec) through the work-stealing scenario runner, a
 //! large single-cell streaming sweep that holds only `O(threads)` full
-//! reports in memory, and a queue cross-check that drives the grid on both
-//! event-core implementations and asserts their trace fingerprints match.
+//! reports in memory, and the optional legs below.
 //!
-//! Usage: `cargo run -p fd-bench --bin sweep --release [-- --seeds N]
-//! [-- --threads N] [-- --stream N] [-- --queue auto|calendar|binary_heap]
-//! [-- --compare N] [-- --large N] [-- --auto-queue N] [-- --cache N]
-//! [-- --store-leg N] [-- --store DIR] [-- --resume] [-- --adv N]
-//! [-- --adv-drop P] [-- --adv-dup P] [-- --topo N] [-- --curve LIST]
-//! [-- --n-max N] [-- --baseline PATH] [-- --out PATH] [-- --profile]`
+//! Usage: `cargo run -p fd-bench --bin sweep --release -- [--seeds N]
+//! [--threads N] [--stream N] [--cache N] [--store-leg N] [--store DIR]
+//! [--resume] [--adv N] [--adv-drop P] [--adv-dup P] [--topo N]
+//! [--curve LIST] [--n-max N] [--baseline PATH] [--out PATH] [--profile]`
+//!
+//! Every flag is checked against the mode's flag table: an unknown flag, a
+//! missing value or a value that does not parse exits with status 2 and
+//! the usage text.
 //!
 //! Or, to aggregate previously written run directories:
 //! `cargo run -p fd-bench --bin sweep --release -- analyze DIR [DIR ...]`
@@ -48,17 +49,10 @@
 //! hits, zero misses.
 //!
 //! `--threads 0` (the default) uses all available cores; `--stream 0`
-//! skips the streaming demonstration; `--compare 0` skips the queue
-//! cross-check (default: 4 seeds per cell on both impls, fingerprint
-//! mismatch aborts). `--large N` runs the large-`n` (17/33/64/128) smoke
-//! leg on both event cores (default 1 seed per cell; 0 skips; fingerprint
-//! mismatch aborts). `--auto-queue N` runs the same large-`n` grid on
-//! `QueueKind::Auto` *and* both concrete queues (default 1 seed per cell;
-//! 0 skips): a fingerprint mismatch aborts, and `auto` landing more than
-//! 30% below the better concrete queue fails the run. `--cache N` runs
-//! the report-cache leg (default 1 seed per cell; 0 skips): a cold grid
-//! sweep through a fresh cache, then an overlapping warm sweep that must
-//! be bit-identical with >0 hits, or the run aborts. `--adv N` runs the
+//! skips the streaming demonstration. `--cache N` runs the report-cache
+//! leg (default 1 seed per cell; 0 skips): a cold grid sweep through a
+//! fresh cache, then a warm sweep of the same cells that must be
+//! bit-identical with >0 hits, or the run aborts. `--adv N` runs the
 //! adversary sweep leg at `--adv-drop`/`--adv-dup` percent (default 2
 //! seeds per cell; 0 skips) — its determinism, `None`-differential, and
 //! churn catch-up gates abort on failure; its grid pass-rate is recorded,
@@ -79,12 +73,102 @@
 
 use fd_bench::{BaselineVerdict, InvocationRecord, SweepStore};
 use fd_detectors::scenario::{QueueKind, ReportCache, Runner};
+use std::str::FromStr;
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "\
+usage: sweep [--seeds N] [--threads N] [--stream N] [--cache N] [--store-leg N]
+             [--store DIR] [--resume] [--adv N] [--adv-drop P] [--adv-dup P]
+             [--topo N] [--curve LIST] [--n-max N] [--baseline PATH]
+             [--out PATH] [--profile]
+       sweep analyze DIR [DIR ...]
+       sweep search [--budget N] [--search-seed S] [--seeds-per-spec N]
+             [--max-witnesses N] [--threads N] [--store DIR] [--resume]
+             [--out PATH]";
+
+/// The main mode's flags: `(name, takes a value)`.
+const MAIN_FLAGS: &[(&str, bool)] = &[
+    ("--seeds", true),
+    ("--threads", true),
+    ("--stream", true),
+    ("--cache", true),
+    ("--store-leg", true),
+    ("--store", true),
+    ("--resume", false),
+    ("--adv", true),
+    ("--adv-drop", true),
+    ("--adv-dup", true),
+    ("--topo", true),
+    ("--curve", true),
+    ("--n-max", true),
+    ("--baseline", true),
+    ("--out", true),
+    ("--profile", false),
+];
+
+/// The `search` mode's flags: `(name, takes a value)`.
+const SEARCH_FLAGS: &[(&str, bool)] = &[
+    ("--budget", true),
+    ("--search-seed", true),
+    ("--seeds-per-spec", true),
+    ("--max-witnesses", true),
+    ("--threads", true),
+    ("--store", true),
+    ("--resume", false),
+    ("--out", true),
+];
+
+/// Prints `msg` and the usage text, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("sweep: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Command-line flags, checked against one mode's flag table.
+struct Flags(Vec<(&'static str, Option<String>)>);
+
+impl Flags {
+    fn parse(args: &[String], table: &[(&'static str, bool)]) -> Flags {
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&(name, takes_value)) = table.iter().find(|(name, _)| name == arg) else {
+                usage_error(&format!("unknown argument {arg:?}"));
+            };
+            let value = if takes_value {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => usage_error(&format!("{name} needs a value")),
+                }
+            } else {
+                None
+            };
+            given.push((name, value));
+        }
+        Flags(given)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of the last `name` given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The parsed value of `name`, or `default` when it is absent.
+    fn num<T: FromStr>(&self, name: &str, default: T) -> T {
+        match self.value(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("bad value {v:?} for {name}"))),
+        }
+    }
 }
 
 /// `sweep analyze DIR [DIR ...]` — aggregate run directories into tables.
@@ -102,27 +186,16 @@ fn run_analyze(dirs: &[String]) {
 /// space across message rules, crash plans, delays, and topology; classify
 /// every cell as pass / honest liveness refusal / checker violation; and
 /// shrink each expected violation to a minimal witness.
-fn run_search_cmd() {
-    let args: Vec<String> = std::env::args().collect();
+fn run_search_cmd(flags: &Flags) {
     let cfg = fd_bench::SearchConfig {
-        search_seed: arg_value("--search-seed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        budget: arg_value("--budget")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(32),
-        seeds_per_spec: arg_value("--seeds-per-spec")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4),
-        max_witnesses: arg_value("--max-witnesses")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3),
+        search_seed: flags.num("--search-seed", 0),
+        budget: flags.num("--budget", 32),
+        seeds_per_spec: flags.num("--seeds-per-spec", 4),
+        max_witnesses: flags.num("--max-witnesses", 3),
     };
-    let threads: usize = arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let resume = args.iter().any(|a| a == "--resume");
-    let out = arg_value("--out").unwrap_or_else(|| "SEARCH_witnesses.json".into());
+    let threads: usize = flags.num("--threads", 0);
+    let resume = flags.has("--resume");
+    let out = flags.value("--out").unwrap_or("SEARCH_witnesses.json");
     let runner = if threads == 0 {
         Runner::parallel()
     } else {
@@ -133,8 +206,8 @@ fn run_search_cmd() {
     // the cache additionally hydrates from / spills to the run directory,
     // making a killed campaign resumable without recomputing any cell.
     let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
-    let store = arg_value("--store").map(|dir| {
-        let store = SweepStore::open(&dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+    let store = flags.value("--store").map(|dir| {
+        let store = SweepStore::open(dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
         for (i, spec) in fd_bench::generate(&cfg).iter().enumerate() {
             let scenario = fd_bench::scenario_for(spec);
             store.register_spec(
@@ -226,7 +299,7 @@ fn run_search_cmd() {
             );
         }
     }
-    std::fs::write(&out, report.to_json_string()).expect("write witness report");
+    std::fs::write(out, report.to_json_string()).expect("write witness report");
     println!("wrote {out}");
     assert!(
         report.unexpected.is_empty(),
@@ -250,54 +323,24 @@ fn main() {
         return;
     }
     if args.get(1).map(String::as_str) == Some("search") {
-        run_search_cmd();
+        run_search_cmd(&Flags::parse(&args[2..], SEARCH_FLAGS));
         return;
     }
-    let seeds: u64 = arg_value("--seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let threads: usize = arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let stream_seeds: u64 = arg_value("--stream")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let compare_seeds: u64 = arg_value("--compare")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let large_seeds: u64 = arg_value("--large")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let auto_seeds: u64 = arg_value("--auto-queue")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let cache_seeds: u64 = arg_value("--cache")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let store_leg_seeds: u64 = arg_value("--store-leg")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let resume = args.iter().any(|a| a == "--resume");
-    let adv_seeds: u64 = arg_value("--adv").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let topo_seeds: u64 = arg_value("--topo")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let adv_drop: u8 = arg_value("--adv-drop")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let adv_dup: u8 = arg_value("--adv-dup")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let queue = match arg_value("--queue").as_deref() {
-        None | Some("auto") => QueueKind::Auto,
-        Some("calendar") => QueueKind::Calendar,
-        Some("binary_heap") => QueueKind::BinaryHeap,
-        Some(other) => panic!("unknown --queue {other} (auto | calendar | binary_heap)"),
-    };
+    let flags = Flags::parse(&args[1..], MAIN_FLAGS);
+    let seeds: u64 = flags.num("--seeds", 25);
+    let threads: usize = flags.num("--threads", 0);
+    let stream_seeds: u64 = flags.num("--stream", 100_000);
+    let cache_seeds: u64 = flags.num("--cache", 1);
+    let store_leg_seeds: u64 = flags.num("--store-leg", 1);
+    let resume = flags.has("--resume");
+    let adv_seeds: u64 = flags.num("--adv", 2);
+    let topo_seeds: u64 = flags.num("--topo", 2);
+    let adv_drop: u8 = flags.num("--adv-drop", 10);
+    let adv_dup: u8 = flags.num("--adv-dup", 10);
     // The n-scaling leg: `--curve 256,512,1024` (the default), `--curve 0`
     // to skip, `--n-max 256` to trim the list (the CI smoke shape).
     let curve_ns: Vec<usize> = {
-        let raw = arg_value("--curve").unwrap_or_else(|| "256,512,1024".into());
+        let raw = flags.value("--curve").unwrap_or("256,512,1024");
         if raw.trim() == "0" {
             Vec::new()
         } else {
@@ -305,18 +348,16 @@ fn main() {
                 .map(|p| {
                     p.trim()
                         .parse()
-                        .unwrap_or_else(|e| panic!("bad --curve entry {p:?}: {e}"))
+                        .unwrap_or_else(|_| usage_error(&format!("bad --curve entry {p:?}")))
                 })
                 .collect()
         }
     };
-    let n_max: usize = arg_value("--n-max")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(usize::MAX);
+    let n_max: usize = flags.num("--n-max", usize::MAX);
     let curve_ns: Vec<usize> = curve_ns.into_iter().filter(|&n| n <= n_max).collect();
-    let baseline = arg_value("--baseline");
-    let profile = std::env::args().any(|a| a == "--profile");
-    let out = arg_value("--out").unwrap_or_else(|| "BENCH_sweep.json".into());
+    let baseline = flags.value("--baseline");
+    let profile = flags.has("--profile");
+    let out = flags.value("--out").unwrap_or("BENCH_sweep.json");
     let runner = if threads == 0 {
         Runner::parallel()
     } else {
@@ -324,17 +365,17 @@ fn main() {
     };
     // --store DIR: open the run directory, hydrate the report cache from
     // it, and persist every newly computed grid/stream cell as it lands.
-    let store_ctx: Option<(SweepStore, &'static ReportCache)> = arg_value("--store").map(|dir| {
-        let store = SweepStore::open(&dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
+    let store_ctx: Option<(SweepStore, &'static ReportCache)> = flags.value("--store").map(|dir| {
+        let store = SweepStore::open(dir).unwrap_or_else(|e| panic!("open --store {dir}: {e}"));
         let tag = {
             use fd_detectors::scenario::Scenario as _;
             fd_core::KsetScenario.cache_tag()
         };
-        for (label, spec, _) in fd_bench::grid_cells(seeds, queue) {
+        for (label, spec, _) in fd_bench::grid_cells(seeds, QueueKind::default()) {
             store.register_spec(&label, &tag, &spec);
         }
         if stream_seeds > 0 {
-            let (slabel, sspec) = fd_bench::stream_cell(queue);
+            let (slabel, sspec) = fd_bench::stream_cell();
             store.register_spec(&format!("stream_{slabel}"), &tag, &sspec);
         }
         // Leaked: `Runner::with_cache` wants `'static`, and the bin runs
@@ -363,7 +404,7 @@ fn main() {
         Some((_, cache)) => runner.with_cache(cache),
         None => runner,
     };
-    let mut report = fd_bench::representative_sweep_on(seeds, grid_runner, queue);
+    let mut report = fd_bench::representative_sweep(seeds, grid_runner);
     println!(
         "grid sweep ({}): {} runs ({} passed) on {} threads in {} us — {:.1} runs/s, {:.0} events/s",
         report.queue,
@@ -375,7 +416,7 @@ fn main() {
         report.events_per_sec,
     );
     if stream_seeds > 0 {
-        let stream = fd_bench::streaming_sweep_on(stream_seeds, grid_runner, queue);
+        let stream = fd_bench::streaming_sweep(stream_seeds, grid_runner);
         println!(
             "streaming sweep: {} runs ({} passed) in {} us — {:.1} runs/s, O(threads) reports held",
             stream.runs, stream.passes, stream.wall_us, stream.runs_per_sec,
@@ -421,62 +462,6 @@ fn main() {
         }
         cache
     });
-    if compare_seeds > 0 {
-        let cmp = fd_bench::queue_comparison(compare_seeds, runner);
-        for r in &cmp.rates {
-            println!(
-                "queue cross-check ({}): {} runs — {:.1} runs/s, {:.0} events/s",
-                r.queue, cmp.runs, r.runs_per_sec, r.events_per_sec,
-            );
-        }
-        assert!(
-            cmp.fingerprints_equal,
-            "queue implementations produced different trace fingerprints"
-        );
-        report = report.with_compare(cmp);
-    }
-    if large_seeds > 0 {
-        let lg = fd_bench::large_n_comparison(large_seeds, runner);
-        for r in &lg.rates {
-            println!(
-                "large-n cross-check ({}): {} runs — {:.1} runs/s, {:.0} events/s",
-                r.queue, lg.runs, r.runs_per_sec, r.events_per_sec,
-            );
-        }
-        assert!(
-            lg.fingerprints_equal,
-            "queue implementations diverged on the large-n grid"
-        );
-        report = report.with_large_n(lg);
-    }
-    if auto_seeds > 0 {
-        let auto = fd_bench::auto_queue_comparison(auto_seeds, runner);
-        for r in &auto.rates {
-            println!(
-                "auto-queue leg ({}): {} runs — {:.1} runs/s, {:.0} events/s",
-                r.queue, auto.runs, r.runs_per_sec, r.events_per_sec,
-            );
-        }
-        assert!(
-            auto.fingerprints_equal,
-            "QueueKind::Auto diverged from the concrete queues on the large-n grid"
-        );
-        let rate_of = |name: &str| {
-            auto.rates
-                .iter()
-                .find(|r| r.queue == name)
-                .map(|r| r.runs_per_sec)
-                .unwrap_or(0.0)
-        };
-        let auto_rate = rate_of("auto");
-        let best = rate_of("calendar").max(rate_of("binary_heap"));
-        assert!(
-            auto_rate >= best * 0.70,
-            "QueueKind::Auto ({auto_rate:.1} runs/s) is more than 30% slower than the better \
-             concrete queue ({best:.1} runs/s) on the large-n grid"
-        );
-        report = report.with_auto_queue(auto);
-    }
     if cache_seeds > 0 {
         let leg = fd_bench::cache_leg(cache_seeds, runner);
         println!(
@@ -665,7 +650,7 @@ fn main() {
         }
     }
     let json = report.to_json();
-    std::fs::write(&out, &json).expect("write BENCH_sweep.json");
+    std::fs::write(out, &json).expect("write BENCH_sweep.json");
     println!("wrote {out}");
     assert_eq!(
         report.total_passes, report.total_runs,
@@ -673,7 +658,7 @@ fn main() {
     );
     if let Some(path) = baseline {
         let base =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         match fd_bench::check_baseline(&report, &base, 30) {
             BaselineVerdict::Ok(msg) => println!("baseline check ok: {msg}"),
             BaselineVerdict::Regressed(msg) => {

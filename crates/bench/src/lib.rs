@@ -34,10 +34,9 @@ pub use store::{
     StoreSummary, SweepStore, STORE_FORMAT, STORE_SHARDS,
 };
 pub use sweep::{
-    adversary_leg, auto_queue_comparison, cache_leg, check_baseline, grid_cells,
-    large_n_comparison, queue_comparison, representative_sweep, representative_sweep_on,
-    scaling_curve, store_leg, stream_cell, streaming_sweep, streaming_sweep_on, topology_leg,
-    AdversaryLeg, BaselineVerdict, CacheLeg, HealCell, QueueCompare, QueueRate, ScalePoint,
-    ScalingCurve, StoreLeg, StreamResult, SweepBenchReport, TopologyLeg, MAX_NEGATIVE_WITNESSES,
+    adversary_leg, cache_leg, check_baseline, grid_cells, representative_sweep, scaling_curve,
+    store_leg, stream_cell, streaming_sweep, topology_leg, AdversaryLeg, BaselineVerdict, CacheLeg,
+    HealCell, QueueCompare, QueueRate, ScalePoint, ScalingCurve, StoreLeg, StreamResult,
+    SweepBenchReport, TopologyLeg, MAX_NEGATIVE_WITNESSES,
 };
 pub use table::Table;

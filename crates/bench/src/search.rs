@@ -1206,9 +1206,7 @@ fn epoch_from_json(doc: &Json) -> Result<TopologyEpoch, String> {
 }
 
 /// Encodes every behavior-relevant field of a spec as canonical JSON.
-/// Excluded by design: `seed` (carried at the witness level) and `queue`
-/// (both event cores pop in the same order — the knob never changes a
-/// trace, and is excluded from the fingerprint for the same reason).
+/// Excluded by design: `seed`, which is carried at the witness level.
 pub fn spec_to_json(spec: &ScenarioSpec) -> Json {
     Json::obj([
         ("n", Json::num_u64(spec.n as u64)),

@@ -6,7 +6,7 @@
 //! `(salt, seed)` where `salt = ReportCache::salt(cache_tag, spec)` digests
 //! the scenario name ⊕ [`ScenarioSpec::fingerprint`]. Because the key is
 //! content-addressed, any later invocation that sweeps the same scenario
-//! spec — same process or not, either event core — resumes from the
+//! spec — same process or not — resumes from the
 //! directory with pure cache hits and a bit-identical summary.
 //!
 //! ## Directory layout

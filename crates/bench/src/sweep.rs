@@ -11,12 +11,8 @@
 //! explicit demonstration. No external JSON crate is available offline,
 //! so the (flat, fully-controlled) document is rendered by hand.
 //!
-//! The report records which event-queue implementation drove the grid, and
-//! [`queue_comparison`] runs both cores over the same cells — rates for
-//! each plus a trace-fingerprint cross-check — so `BENCH_sweep.json`
-//! tracks the calendar/heap throughput gap alongside the determinism
-//! guarantee. [`check_baseline`] gates CI on per-thread `runs_per_sec`
-//! against the committed report.
+//! [`check_baseline`] gates CI on per-thread `runs_per_sec` against the
+//! committed report.
 //!
 //! Timing is recorded in microseconds (`wall_us`, clamped to ≥ 1) and both
 //! rates are derived from that same duration, so the JSON stays internally
@@ -68,10 +64,10 @@ pub struct StreamResult {
     pub runs_per_sec: f64,
 }
 
-/// Throughput of one event-queue implementation over the cross-check grid.
+/// One event core's throughput over a grid; held by [`QueueCompare`].
 #[derive(Clone, Debug)]
 pub struct QueueRate {
-    /// Queue implementation name (`"calendar"` / `"binary_heap"`).
+    /// Event core name.
     pub queue: &'static str,
     /// Completed scenario runs per wall-clock second.
     pub runs_per_sec: f64,
@@ -79,8 +75,10 @@ pub struct QueueRate {
     pub events_per_sec: f64,
 }
 
-/// The queue cross-check: both implementations driven over the same grid,
-/// rates for each, and whether every run's trace fingerprint matched.
+/// A cross-check of event cores over one grid. With one event core left
+/// nothing produces it: the report fields that hold it are always `None`,
+/// and the type remains only because the benchmark in `perfbench/` builds
+/// a [`SweepBenchReport`] with every field named.
 #[derive(Clone, Debug)]
 pub struct QueueCompare {
     /// Runs executed per implementation.
@@ -205,7 +203,7 @@ pub struct TopologyLeg {
 pub struct SweepBenchReport {
     /// Worker threads the runner used.
     pub threads: usize,
-    /// Which event-queue implementation drove the main grid.
+    /// The event core that drove the main grid ([`QueueKind::name`]).
     pub queue: &'static str,
     /// The message adversary of the main grid (always `"none"`: the grid
     /// is the clean baseline; attacked runs live in the adversary leg).
@@ -230,11 +228,11 @@ pub struct SweepBenchReport {
     pub cells: Vec<CellResult>,
     /// The streaming demonstration, when one was run.
     pub stream: Option<StreamResult>,
-    /// The queue cross-check, when one was run.
+    /// Always `None` (see [`QueueCompare`]).
     pub compare: Option<QueueCompare>,
-    /// The large-`n` (up to 128) queue cross-check, when one was run.
+    /// Always `None` (see [`QueueCompare`]).
     pub large_n: Option<QueueCompare>,
-    /// The `Auto` queue-heuristic leg, when one was run.
+    /// Always `None` (see [`QueueCompare`]).
     pub auto_queue: Option<QueueCompare>,
     /// The report-cache leg, when one was run.
     pub cache: Option<CacheLeg>,
@@ -250,11 +248,13 @@ pub struct SweepBenchReport {
 
 /// The grid the sweep covers: `(n, t)` scales × `k` × crash count. Public
 /// so the sweep bin can register the specs in a run directory's manifest.
-pub fn grid_cells(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64)> {
-    grid(seeds_per_cell, queue)
+/// The [`QueueKind`] argument is ignored; it remains because the benchmark
+/// in `perfbench/` passes one.
+pub fn grid_cells(seeds_per_cell: u64, _queue: QueueKind) -> Vec<(String, ScenarioSpec, u64)> {
+    grid(seeds_per_cell)
 }
 
-fn grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64)> {
+fn grid(seeds_per_cell: u64) -> Vec<(String, ScenarioSpec, u64)> {
     let mut cells = Vec::new();
     for &(n, t) in &[(5usize, 2usize), (7, 3), (9, 4)] {
         for k in [1usize, 2] {
@@ -262,7 +262,6 @@ fn grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64
                 let label = format!("n{n}_t{t}_k{k}_f{f}");
                 let spec = kset_config(n, t, k)
                     .gst(Time(400))
-                    .queue(queue)
                     .crashes(CrashPlan::Random { f, by: Time(500) });
                 cells.push((label, spec, seeds_per_cell));
             }
@@ -273,19 +272,9 @@ fn grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64
 
 /// Runs the representative grid sweep and measures throughput. Each cell is
 /// folded into a [`SweepSummary`] as its runs finish — no per-run report
-/// outlives its cell's fold frontier. The grid runs on the default
-/// (calendar) event core; see [`representative_sweep_on`] to pick one.
+/// outlives its cell's fold frontier.
 pub fn representative_sweep(seeds_per_cell: u64, runner: Runner) -> SweepBenchReport {
-    representative_sweep_on(seeds_per_cell, runner, QueueKind::default())
-}
-
-/// As [`representative_sweep`] on an explicit event-queue implementation.
-pub fn representative_sweep_on(
-    seeds_per_cell: u64,
-    runner: Runner,
-    queue: QueueKind,
-) -> SweepBenchReport {
-    let cells = grid(seeds_per_cell, queue);
+    let cells = grid(seeds_per_cell);
     let t0 = Instant::now();
     let mut out = Vec::with_capacity(cells.len());
     for (label, spec, seeds) in cells {
@@ -305,7 +294,7 @@ pub fn representative_sweep_on(
     let secs = wall_us as f64 / 1e6;
     SweepBenchReport {
         threads: runner.threads(),
-        queue: queue.name(),
+        queue: QueueKind::default().name(),
         adversary: MessageAdversary::None.describe(),
         total_runs,
         total_passes,
@@ -325,99 +314,6 @@ pub fn representative_sweep_on(
         topology_leg: None,
         scaling: None,
     }
-}
-
-/// Drives `make_grid`'s cells once per event-queue choice in `kinds`,
-/// measuring each one's throughput and cross-checking that every run's
-/// trace fingerprint is identical between them.
-fn compare_on_grid(
-    runner: Runner,
-    kinds: &[QueueKind],
-    make_grid: impl Fn(QueueKind) -> Vec<(String, ScenarioSpec, u64)>,
-) -> QueueCompare {
-    let mut rates = Vec::new();
-    let mut prints: Vec<Vec<u64>> = Vec::new();
-    let mut runs = 0;
-    for &queue in kinds {
-        let cells = make_grid(queue);
-        let t0 = Instant::now();
-        let mut fp = Vec::new();
-        let mut events = 0u64;
-        for (_, spec, seeds) in cells {
-            for rep in runner.sweep(&KsetScenario, &spec, 0..seeds) {
-                events += rep.metrics.events;
-                fp.push(rep.fingerprint());
-            }
-        }
-        let secs = (t0.elapsed().as_micros() as u64).max(1) as f64 / 1e6;
-        runs = fp.len() as u64;
-        rates.push(QueueRate {
-            queue: queue.name(),
-            runs_per_sec: runs as f64 / secs,
-            events_per_sec: events as f64 / secs,
-        });
-        prints.push(fp);
-    }
-    QueueCompare {
-        runs,
-        rates,
-        fingerprints_equal: prints.windows(2).all(|w| w[0] == w[1]),
-    }
-}
-
-/// Drives the whole grid once per event-queue implementation, measuring
-/// each one's throughput and cross-checking that every run's trace
-/// fingerprint is identical between them — the bench-smoke leg of the
-/// scheduler determinism contract.
-pub fn queue_comparison(seeds_per_cell: u64, runner: Runner) -> QueueCompare {
-    compare_on_grid(
-        runner,
-        &[QueueKind::Calendar, QueueKind::BinaryHeap],
-        |queue| grid(seeds_per_cell, queue),
-    )
-}
-
-/// The large-`n` cells: the scales `PSet` supports but the standard grid
-/// never exercises, up to the 128-process maximum, with `f = t` crashes.
-fn large_grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64)> {
-    let mut cells = Vec::new();
-    for &(n, t) in &[(17usize, 8usize), (33, 16), (64, 31), (128, 63)] {
-        let label = format!("n{n}_t{t}_k2_f{t}");
-        let spec = kset_config(n, t, 2)
-            .gst(Time(400))
-            .queue(queue)
-            .crashes(CrashPlan::Random {
-                f: t,
-                by: Time(500),
-            });
-        cells.push((label, spec, seeds_per_cell));
-    }
-    cells
-}
-
-/// The large-`n` smoke leg: `n` up to 128 on both event cores with the
-/// fingerprint cross-check — the queue determinism contract at the scales
-/// the calendar queue's bucket resizing actually stretches.
-pub fn large_n_comparison(seeds_per_cell: u64, runner: Runner) -> QueueCompare {
-    compare_on_grid(
-        runner,
-        &[QueueKind::Calendar, QueueKind::BinaryHeap],
-        |queue| large_grid(seeds_per_cell, queue),
-    )
-}
-
-/// The `QueueKind::Auto` proving leg: the large-`n` grid (17/33/64/128)
-/// driven by `Auto` *and* by both concrete queues, with the fingerprint
-/// cross-check — so `BENCH_sweep.json` records that the per-run heuristic
-/// picks a core at least as fast as the better hand-picked one (the bin
-/// gates `auto` at no more than 30% below `max(calendar, heap)`) without
-/// ever changing a trace.
-pub fn auto_queue_comparison(seeds_per_cell: u64, runner: Runner) -> QueueCompare {
-    compare_on_grid(
-        runner,
-        &[QueueKind::Auto, QueueKind::Calendar, QueueKind::BinaryHeap],
-        |queue| large_grid(seeds_per_cell, queue),
-    )
 }
 
 /// One point of the events/s-vs-`n` scaling curve.
@@ -458,7 +354,7 @@ pub struct ScalingCurve {
 /// Measures the events/s-vs-`n` scaling curve at the sizes in `ns`.
 ///
 /// Failure-free (crashes change the workload shape per size, which would
-/// confound the curve), `k = 2`, maximal `t`, on the spec's `Auto` queue.
+/// confound the curve), `k = 2`, maximal `t`.
 /// Every run's spec check still applies — a silent wrong answer at
 /// `n = 1024` fails the leg rather than becoming a fast number.
 ///
@@ -520,27 +416,26 @@ pub struct CacheLeg {
 }
 
 /// Runs the cache leg: the representative grid is swept cold through a
-/// fresh [`ReportCache`], then an *overlapping* grid — the same cells, the
-/// E4/E10 sharing pattern, but driven on the other event core to prove the
-/// cache key ignores the queue knob — is swept warm. The warm pass must be
-/// bit-identical summary for summary, compute nothing new on the overlap,
-/// and report its hits; the sweep bin gates on `identical && hits > 0`.
+/// fresh [`ReportCache`], then the same cells — the E4/E10 sharing
+/// pattern — are swept warm. The warm pass must be bit-identical summary
+/// for summary, compute nothing new, and report its hits; the sweep bin
+/// gates on `identical && hits > 0`.
 pub fn cache_leg(seeds_per_cell: u64, runner: Runner) -> CacheLeg {
     // Deliberately leaked: `Runner::with_cache` wants `'static` (that is
     // what keeps the runner `Copy`), and the leg runs once per process.
     let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
     let runner = runner.with_cache(cache);
-    let sweep_all = |queue: QueueKind| -> Vec<SweepSummary> {
-        grid(seeds_per_cell, queue)
+    let sweep_all = || -> Vec<SweepSummary> {
+        grid(seeds_per_cell)
             .into_iter()
             .map(|(_, spec, seeds)| runner.sweep_summary(&KsetScenario, &spec, 0..seeds))
             .collect()
     };
     let t0 = Instant::now();
-    let cold = sweep_all(QueueKind::Calendar);
+    let cold = sweep_all();
     let cold_wall_us = (t0.elapsed().as_micros() as u64).max(1);
     let t1 = Instant::now();
-    let warm = sweep_all(QueueKind::BinaryHeap);
+    let warm = sweep_all();
     let warm_wall_us = (t1.elapsed().as_micros() as u64).max(1);
     CacheLeg {
         cold_runs: cold.iter().map(|s| s.runs).sum(),
@@ -589,11 +484,11 @@ pub struct StoreLeg {
 /// resume advantage scales with per-run simulation cost — the small-n
 /// grid alone would understate what a real (large-n, many-seed) campaign
 /// gets back from the store.
-fn store_grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpec, u64)> {
-    let mut cells = grid(seeds_per_cell, queue);
+fn store_grid(seeds_per_cell: u64) -> Vec<(String, ScenarioSpec, u64)> {
+    let mut cells = grid(seeds_per_cell);
     for &(n, t) in &[(17usize, 8usize), (33, 16)] {
         let label = format!("n{n}_t{t}_k2_f0");
-        let spec = kset_config(n, t, 2).gst(Time(400)).queue(queue);
+        let spec = kset_config(n, t, 2).gst(Time(400));
         cells.push((label, spec, seeds_per_cell));
     }
     cells
@@ -606,19 +501,17 @@ fn store_grid(seeds_per_cell: u64, queue: QueueKind) -> Vec<(String, ScenarioSpe
 /// simulating a new process — the directory is reopened, a *second* fresh
 /// cache is hydrated from it, and the same grid is swept warm. The warm
 /// pass must be bit-identical, all hits, zero misses; the sweep bin gates
-/// on exactly that. Both passes run single-queue (the queue-knob
-/// independence is already proven by [`cache_leg`]).
+/// on exactly that.
 pub fn store_leg(seeds_per_cell: u64, runner: Runner, dir: &Path) -> std::io::Result<StoreLeg> {
-    let queue = QueueKind::default();
     let sweep_all = |runner: Runner| -> Vec<SweepSummary> {
-        store_grid(seeds_per_cell, queue)
+        store_grid(seeds_per_cell)
             .into_iter()
             .map(|(_, spec, seeds)| runner.sweep_summary(&KsetScenario, &spec, 0..seeds))
             .collect()
     };
     // Cold: compute everything, spill every cell into the run directory.
     let store = SweepStore::open(dir)?;
-    for (label, spec, _) in store_grid(seeds_per_cell, queue) {
+    for (label, spec, _) in store_grid(seeds_per_cell) {
         store.register_spec(&label, &KsetScenario.cache_tag(), &spec);
     }
     // Leaked for the same `'static` reason as in `cache_leg`.
@@ -1009,11 +902,10 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 
 /// The single cell [`streaming_sweep`] drives, public for the same
 /// manifest-registration reason as [`grid_cells`].
-pub fn stream_cell(queue: QueueKind) -> (String, ScenarioSpec) {
+pub fn stream_cell() -> (String, ScenarioSpec) {
     let (n, t, k, f) = (5, 2, 2, 2);
     let spec = kset_config(n, t, k)
         .gst(Time(400))
-        .queue(queue)
         .crashes(CrashPlan::Random { f, by: Time(500) });
     (format!("n{n}_t{t}_k{k}_f{f}"), spec)
 }
@@ -1021,17 +913,9 @@ pub fn stream_cell(queue: QueueKind) -> (String, ScenarioSpec) {
 /// Streams `seeds` runs of one representative crashy cell (`n5_t2_k2_f2`)
 /// through [`Runner::sweep_fold`]. Memory stays `O(threads)` full reports
 /// regardless of `seeds`, which is the point: this is the million-seed mode
-/// the eager sweep cannot afford. Runs on the default (calendar) event
-/// core; see [`streaming_sweep_on`] to pick one.
+/// the eager sweep cannot afford.
 pub fn streaming_sweep(seeds: u64, runner: Runner) -> StreamResult {
-    streaming_sweep_on(seeds, runner, QueueKind::default())
-}
-
-/// As [`streaming_sweep`] on an explicit event-queue implementation (so a
-/// `--queue binary_heap` report's stream numbers are actually measured on
-/// the heap).
-pub fn streaming_sweep_on(seeds: u64, runner: Runner, queue: QueueKind) -> StreamResult {
-    let (label, spec) = stream_cell(queue);
+    let (label, spec) = stream_cell();
     let t0 = Instant::now();
     let summary = runner.sweep_summary(&KsetScenario, &spec, 0..seeds);
     let wall_us = (t0.elapsed().as_micros() as u64).max(1);
@@ -1049,24 +933,6 @@ impl SweepBenchReport {
     /// Attaches a streaming demonstration to the report (builder style).
     pub fn with_stream(mut self, stream: StreamResult) -> Self {
         self.stream = Some(stream);
-        self
-    }
-
-    /// Attaches a queue cross-check to the report (builder style).
-    pub fn with_compare(mut self, compare: QueueCompare) -> Self {
-        self.compare = Some(compare);
-        self
-    }
-
-    /// Attaches a large-`n` cross-check to the report (builder style).
-    pub fn with_large_n(mut self, large_n: QueueCompare) -> Self {
-        self.large_n = Some(large_n);
-        self
-    }
-
-    /// Attaches an `Auto`-queue leg to the report (builder style).
-    pub fn with_auto_queue(mut self, auto_queue: QueueCompare) -> Self {
-        self.auto_queue = Some(auto_queue);
         self
     }
 
@@ -1147,60 +1013,6 @@ impl SweepBenchReport {
                 "  \"stream\": {{\"cell\": \"{}\", \"runs\": {}, \"passes\": {}, \"events\": {}, \"wall_us\": {}, \"runs_per_sec\": {:.2}}},\n",
                 st.cell, st.runs, st.passes, st.events, st.wall_us, st.runs_per_sec
             ));
-        }
-        if let Some(cmp) = &self.compare {
-            s.push_str(&format!(
-                "  \"queue_fingerprints_equal\": {},\n",
-                cmp.fingerprints_equal
-            ));
-            s.push_str("  \"queues\": [\n");
-            for (i, r) in cmp.rates.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"impl\": \"{}\", \"runs\": {}, \"runs_per_sec\": {:.2}, \"events_per_sec\": {:.2}}}{}\n",
-                    r.queue,
-                    cmp.runs,
-                    r.runs_per_sec,
-                    r.events_per_sec,
-                    if i + 1 == cmp.rates.len() { "" } else { "," }
-                ));
-            }
-            s.push_str("  ],\n");
-        }
-        if let Some(lg) = &self.large_n {
-            s.push_str(&format!(
-                "  \"large_n_fingerprints_equal\": {},\n",
-                lg.fingerprints_equal
-            ));
-            s.push_str("  \"large_n\": [\n");
-            for (i, r) in lg.rates.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"impl\": \"{}\", \"runs\": {}, \"runs_per_sec\": {:.2}, \"events_per_sec\": {:.2}}}{}\n",
-                    r.queue,
-                    lg.runs,
-                    r.runs_per_sec,
-                    r.events_per_sec,
-                    if i + 1 == lg.rates.len() { "" } else { "," }
-                ));
-            }
-            s.push_str("  ],\n");
-        }
-        if let Some(auto) = &self.auto_queue {
-            s.push_str(&format!(
-                "  \"auto_queue_fingerprints_equal\": {},\n",
-                auto.fingerprints_equal
-            ));
-            s.push_str("  \"auto_queue\": [\n");
-            for (i, r) in auto.rates.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"impl\": \"{}\", \"runs\": {}, \"runs_per_sec\": {:.2}, \"events_per_sec\": {:.2}}}{}\n",
-                    r.queue,
-                    auto.runs,
-                    r.runs_per_sec,
-                    r.events_per_sec,
-                    if i + 1 == auto.rates.len() { "" } else { "," }
-                ));
-            }
-            s.push_str("  ],\n");
         }
         if let Some(c) = &self.cache {
             s.push_str(&format!(
@@ -1358,8 +1170,7 @@ mod tests {
     #[test]
     fn sweep_passes_and_serializes() {
         let rep = representative_sweep(2, Runner::parallel())
-            .with_stream(streaming_sweep(32, Runner::parallel()))
-            .with_compare(queue_comparison(1, Runner::parallel()));
+            .with_stream(streaming_sweep(32, Runner::parallel()));
         assert_eq!(rep.total_runs, rep.cells.len() as u64 * 2);
         assert_eq!(
             rep.total_passes, rep.total_runs,
@@ -1368,33 +1179,14 @@ mod tests {
         assert!(rep.total_events > 0);
         assert!(rep.wall_us >= 1);
         assert!(rep.wall_ms >= 1);
-        assert_eq!(rep.queue, "auto", "the engine default drives the grid");
+        assert_eq!(rep.queue, "binary_heap");
         let json = rep.to_json();
         assert!(json.contains("\"runs_per_sec\""));
         assert!(json.contains("\"wall_us\""));
         assert!(json.contains("\"stream\""));
-        assert!(json.contains("\"queue\": \"auto\""));
-        assert!(json.contains("\"queue_fingerprints_equal\": true"));
-        assert!(json.contains("\"impl\": \"binary_heap\""));
+        assert!(json.contains("\"queue\": \"binary_heap\""));
         assert!(json.contains("n5_t2_k1_f0"));
         assert!(json.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn auto_queue_leg_matches_and_serializes() {
-        let auto = auto_queue_comparison(1, Runner::parallel());
-        assert!(
-            auto.fingerprints_equal,
-            "Auto diverged from a concrete queue"
-        );
-        assert_eq!(auto.rates.len(), 3);
-        assert_eq!(auto.rates[0].queue, "auto");
-        let json = representative_sweep(1, Runner::sequential())
-            .with_auto_queue(auto)
-            .to_json();
-        assert!(json.contains("\"auto_queue_fingerprints_equal\": true"));
-        assert!(json.contains("\"auto_queue\": ["));
-        assert!(json.contains("\"impl\": \"auto\""));
     }
 
     #[test]
@@ -1453,17 +1245,6 @@ mod tests {
         let rep = representative_sweep(1, Runner::sequential());
         assert_eq!(rep.adversary, "none");
         assert!(rep.to_json().contains("\"adversary\": \"none\""));
-    }
-
-    #[test]
-    fn large_n_comparison_is_fingerprint_identical_up_to_128() {
-        let lg = large_n_comparison(1, Runner::parallel());
-        assert!(lg.fingerprints_equal, "queue impls diverged at large n");
-        assert_eq!(lg.runs, 4);
-        let json = representative_sweep(1, Runner::sequential())
-            .with_large_n(lg)
-            .to_json();
-        assert!(json.contains("\"large_n_fingerprints_equal\": true"));
     }
 
     #[test]
@@ -1544,26 +1325,6 @@ mod tests {
     #[should_panic(expected = "exceeds MAX_PROCESSES")]
     fn scaling_curve_rejects_oversized_n() {
         scaling_curve(&[fd_sim::MAX_PROCESSES + 1], 1, Runner::sequential());
-    }
-
-    #[test]
-    fn queue_comparison_fingerprints_match() {
-        let cmp = queue_comparison(2, Runner::parallel());
-        assert!(cmp.fingerprints_equal, "queue impls diverged");
-        assert_eq!(cmp.rates.len(), 2);
-        assert_eq!(cmp.runs, 24);
-        assert!(cmp.rates.iter().all(|r| r.runs_per_sec > 0.0));
-    }
-
-    #[test]
-    fn heap_grid_matches_calendar_grid() {
-        let cal = representative_sweep_on(2, Runner::sequential(), QueueKind::Calendar);
-        let heap = representative_sweep_on(2, Runner::sequential(), QueueKind::BinaryHeap);
-        assert_eq!(cal.total_events, heap.total_events);
-        assert_eq!(cal.total_passes, heap.total_passes);
-        for (a, b) in cal.cells.iter().zip(&heap.cells) {
-            assert_eq!(a.msgs, b.msgs, "cell {} diverged across queues", a.label);
-        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 
 use fd_bench::CountingAlloc;
 use fd_sim::{
-    CalendarQueue, DelayModel, EventKind, EventQueue, MsgArena, Network, ProcessId, Scheduler,
-    SplitMix64, Staged, Time,
+    DelayModel, EventKind, EventQueue, MsgArena, Network, ProcessId, SplitMix64, Staged, Time,
 };
 
 #[global_allocator]
@@ -27,7 +26,7 @@ const N: usize = 128;
 
 /// Pops every pending event, consuming the arena payloads the way the
 /// engine does; folds them so the work cannot be optimized away.
-fn drain(q: &mut dyn Scheduler, arena: &mut MsgArena<u64>) -> u64 {
+fn drain(q: &mut EventQueue, arena: &mut MsgArena<u64>) -> u64 {
     let mut acc = 0u64;
     while let Some(ev) = q.pop() {
         if let EventKind::Deliver { slot, .. } = ev.kind {
@@ -37,7 +36,13 @@ fn drain(q: &mut dyn Scheduler, arena: &mut MsgArena<u64>) -> u64 {
     acc
 }
 
-fn probe(mut q: Box<dyn Scheduler>, label: &str) {
+#[test]
+fn routed_broadcast_is_allocation_free_after_warmup() {
+    if !ALLOC.enabled() {
+        eprintln!("skipping: allocation counting is debug-only");
+        return;
+    }
+    let mut q = EventQueue::new();
     let mut net = Network::new(
         DelayModel::Uniform { lo: 1, hi: 12 },
         vec![],
@@ -47,16 +52,14 @@ fn probe(mut q: Box<dyn Scheduler>, label: &str) {
     let mut staging: Vec<Staged> = Vec::new();
     let mut acc = 0u64;
     let mut clock = 0u64;
-    // Warm-up: one full cycle of the calendar's 256-day bucket ring (the
-    // ring is masked, so once every bucket has been touched, later days
-    // reuse warmed `Vec`s) at 4× the measured load, so every recycled
-    // capacity — heap, day buckets, arena slab and free list, staging —
-    // strictly dominates what a single steady-state broadcast needs.
+    // Warm-up at 4× the measured load, so every recycled capacity — heap,
+    // arena slab and free list, staging — strictly dominates what a single
+    // steady-state broadcast needs.
     for _ in 0..320 {
         for burst in 0..4 {
             let from = ProcessId(((clock + burst) % N as u64) as usize);
             net.route_broadcast(
-                &mut *q,
+                &mut q,
                 &mut arena,
                 from,
                 N,
@@ -65,15 +68,15 @@ fn probe(mut q: Box<dyn Scheduler>, label: &str) {
                 &mut staging,
             );
         }
-        acc = acc.wrapping_add(drain(&mut *q, &mut arena));
+        acc = acc.wrapping_add(drain(&mut q, &mut arena));
         clock += 1;
     }
-    assert!(arena.is_empty(), "{label}: warm-up left live payloads");
+    assert!(arena.is_empty(), "warm-up left live payloads");
     let before = ALLOC.allocations();
     for _ in 0..256 {
         let from = ProcessId((clock % N as u64) as usize);
         net.route_broadcast(
-            &mut *q,
+            &mut q,
             &mut arena,
             from,
             N,
@@ -81,29 +84,17 @@ fn probe(mut q: Box<dyn Scheduler>, label: &str) {
             clock,
             &mut staging,
         );
-        acc = acc.wrapping_add(drain(&mut *q, &mut arena));
+        acc = acc.wrapping_add(drain(&mut q, &mut arena));
         clock += 1;
     }
     let after = ALLOC.allocations();
     assert_eq!(
         after - before,
         0,
-        "{label}: {} heap allocations across 256 warmed-up broadcasts at n = {N} \
+        "{} heap allocations across 256 warmed-up broadcasts at n = {N} \
          (the routed-broadcast steady state must be allocation-free)",
         after - before,
     );
-    assert!(arena.is_empty(), "{label}: probe left live payloads");
+    assert!(arena.is_empty(), "probe left live payloads");
     std::hint::black_box(acc);
-}
-
-#[test]
-fn routed_broadcast_is_allocation_free_after_warmup() {
-    if !ALLOC.enabled() {
-        eprintln!("skipping: allocation counting is debug-only");
-        return;
-    }
-    // The heap is what `QueueKind::Auto` resolves to at n = 128; the
-    // calendar is probed too so its day-ring recycling stays honest.
-    probe(Box::new(EventQueue::new()), "binary_heap");
-    probe(Box::new(CalendarQueue::new()), "calendar");
 }

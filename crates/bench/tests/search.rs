@@ -3,12 +3,12 @@
 //! Every accepted shrink step still violates the original predicate at
 //! the original seed (a trail is a chain of reproducers, not a log of
 //! guesses), the trail and the minimum are bit-identical across thread
-//! counts and both event cores (shrinking is a pure function of
-//! `(start, seed, class)`), and a locally minimal witness is a fixed
+//! counts (shrinking is a pure function of `(start, seed, class)`), and a
+//! locally minimal witness is a fixed
 //! point — re-shrinking it accepts nothing.
 
 use fd_bench::{classify, probe_specs, scenario_for, shrink, MinimalWitness, RunClass};
-use fd_detectors::scenario::{QueueKind, ReportCache, Runner};
+use fd_detectors::scenario::{ReportCache, Runner};
 use fd_detectors::ViolationClass;
 
 /// A fresh cache-backed runner (leaked: `with_cache` wants `'static`).
@@ -54,7 +54,7 @@ fn every_trail_spec_still_reproduces_the_violation() {
 }
 
 #[test]
-fn shrinking_is_deterministic_across_threads_and_event_cores() {
+fn shrinking_is_deterministic_across_threads() {
     let (start, seed, class) = probe_violation();
     let baseline = shrink(&runner(1), &start, seed, class);
     let trail_of = |o: &fd_bench::ShrinkOutcome| {
@@ -63,22 +63,17 @@ fn shrinking_is_deterministic_across_threads_and_event_cores() {
             .map(|s| format!("{}: {}", s.pass, s.description))
             .collect::<Vec<_>>()
     };
-    // Thread counts: shrink candidates are single-seed runs, which the
-    // runner executes sequentially regardless — same trail, same minimum.
-    let wide = shrink(&runner(4), &start, seed, class);
-    assert_eq!(trail_of(&baseline), trail_of(&wide), "threads diverged");
-    assert_eq!(baseline.spec.fingerprint(), wide.spec.fingerprint());
-    // Event cores: the calendar queue and the binary heap are
-    // trace-identical, so the checker — and therefore every shrink
-    // accept/reject decision — must match step for step.
-    for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let queued = shrink(&runner(0), &start.clone().queue(queue), seed, class);
+    // Shrink candidates are single-seed runs, which the runner executes
+    // sequentially regardless — same trail, same minimum at any thread
+    // count, and on the sequential runner.
+    for threads in [4, 0] {
+        let other = shrink(&runner(threads), &start, seed, class);
         assert_eq!(
             trail_of(&baseline),
-            trail_of(&queued),
-            "queue {} diverged",
-            queue.name()
+            trail_of(&other),
+            "threads={threads} diverged"
         );
+        assert_eq!(baseline.spec.fingerprint(), other.spec.fingerprint());
     }
 }
 

@@ -6,7 +6,7 @@
 
 use crate::scenario::{run_kset_with, ConsensusScenario, KsetScenario};
 pub use fd_detectors::scenario::{
-    CrashPlan, LinkOverride, MessageAdversary, MessageRule, QueueKind, ReportCache, RuleAction,
+    CrashPlan, LinkOverride, MessageAdversary, MessageRule, ReportCache, RuleAction,
     ScenarioReport, ScenarioSpec, TopologyEpoch, TopologySchedule,
 };
 use fd_detectors::scenario::{Runner, SweepSummary};
@@ -92,29 +92,6 @@ mod tests {
         let rep = run_consensus_mr(&cfg);
         assert!(rep.check.ok, "{}", rep.check);
         assert_eq!(rep.metrics.decided_values.len(), 1);
-    }
-
-    #[test]
-    fn queue_impls_are_fingerprint_identical_through_the_harness() {
-        // The adapter layer passes the spec's queue knob straight through:
-        // the calendar queue and the reference heap must produce the same
-        // run, bit for bit, for both algorithms.
-        for seed in 0..6 {
-            let base = kset_config(5, 2, 2)
-                .seed(seed)
-                .crashes(CrashPlan::Anarchic { by: Time(400) });
-            let cal = run_kset_omega(&base.clone().queue(QueueKind::Calendar));
-            let heap = run_kset_omega(&base.queue(QueueKind::BinaryHeap));
-            assert_eq!(cal.fingerprint(), heap.fingerprint(), "kset seed {seed}");
-            let base = kset_config(5, 2, 1).seed(seed);
-            let cal = run_consensus_mr(&base.clone().queue(QueueKind::Calendar));
-            let heap = run_consensus_mr(&base.queue(QueueKind::BinaryHeap));
-            assert_eq!(
-                cal.fingerprint(),
-                heap.fingerprint(),
-                "consensus seed {seed}"
-            );
-        }
     }
 
     #[test]
@@ -238,11 +215,9 @@ mod tests {
             let proposals = default_proposals(5);
             assert!(spec::validity(&rep.trace, &proposals).ok, "seed {seed}");
             assert!(spec::k_agreement(&rep.trace, 2).ok, "seed {seed}");
-            // Bit-identical on a rerun and on the reference queue.
+            // Bit-identical on a rerun.
             let again = run_kset_omega(&cfg);
             assert_eq!(rep.fingerprint(), again.fingerprint(), "seed {seed}");
-            let heap = run_kset_omega(&cfg.clone().queue(QueueKind::BinaryHeap));
-            assert_eq!(rep.fingerprint(), heap.fingerprint(), "seed {seed}");
         }
     }
 
@@ -281,26 +256,11 @@ mod tests {
         let runner = fd_detectors::scenario::Runner::with_threads(2).with_cache(cache);
         let cold = sweep_kset_summary(&cfg, 0..12, runner);
         assert_eq!((cold.runs, cache.misses()), (12, 12));
-        // Warm, on the other event core: the cache key ignores the queue
-        // knob (the event core never changes a trace), so everything hits.
-        let warm = sweep_kset_summary(&cfg.clone().queue(QueueKind::BinaryHeap), 0..12, runner);
+        // Warm: the same spec, so everything hits.
+        let warm = sweep_kset_summary(&cfg, 0..12, runner);
         assert_eq!(warm, cold);
         assert_eq!(cache.misses(), 12, "warm sweep recomputed a run");
         assert_eq!(cache.hits(), 12);
-    }
-
-    #[test]
-    fn auto_queue_is_the_default_and_changes_nothing() {
-        let base = kset_config(5, 2, 2)
-            .seed(7)
-            .gst(Time(400))
-            .crashes(CrashPlan::Anarchic { by: Time(400) });
-        assert_eq!(base.queue, QueueKind::Auto);
-        let auto = run_kset_omega(&base);
-        let cal = run_kset_omega(&base.clone().queue(QueueKind::Calendar));
-        let heap = run_kset_omega(&base.clone().queue(QueueKind::BinaryHeap));
-        assert_eq!(auto.fingerprint(), cal.fingerprint());
-        assert_eq!(auto.fingerprint(), heap.fingerprint());
     }
 
     #[test]

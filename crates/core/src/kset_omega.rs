@@ -95,9 +95,8 @@ pub enum LeaderInput {
 /// dedup and the `n−t` quorum counts are popcounts, the line 07/13 value
 /// choices are running aggregates, and slabs of finished rounds are
 /// recycled — steady-state progress allocates nothing, independent of `n`.
-/// The `vec-reference` feature retains the original `HashMap`-of-`Vec`
-/// implementation ([`crate::reference::KsetOmegaRef`]) and the
-/// differential suite pins both bit-identical.
+/// `tests/slab_reference.rs` retains the original `HashMap`-of-`Vec`
+/// implementation and pins both bit-identical.
 ///
 /// # Examples
 ///

@@ -33,8 +33,6 @@ pub mod consensus_mr;
 pub mod harness;
 pub mod kset_omega;
 pub mod lower_bound;
-#[cfg(feature = "vec-reference")]
-pub mod reference;
 pub mod repeated;
 pub mod rounds;
 pub mod scenario;
@@ -43,10 +41,6 @@ pub mod spec;
 pub use consensus_mr::{ConsensusMr, MrMsg};
 pub use harness::{kset_config, run_consensus_mr, run_kset_omega, CrashPlan};
 pub use kset_omega::{KsetMsg, KsetOmega, LeaderInput};
-#[cfg(feature = "vec-reference")]
-pub use reference::{
-    ConsensusMrRef, ConsensusReferenceScenario, KsetOmegaRef, KsetReferenceScenario,
-};
 pub use repeated::{run_repeated, run_repeated_spec, RepMsg, RepeatedKset, RepeatedReport};
 pub use rounds::{CoordSlab, EchoSlab, Phase1Slab, Phase2Slab, RoundSlab, RoundWindow};
 pub use scenario::{run_kset_with, ConsensusScenario, KsetScenario, RepeatedScenario};

@@ -1,18 +1,14 @@
-//! The pre-slab round automata, kept verbatim as a differential reference.
+//! The pre-slab round automata, kept as a differential reference.
 //!
 //! [`KsetOmegaRef`] and [`ConsensusMrRef`] are the `HashMap<u32, Vec<…>>`
-//! implementations that [`crate::kset_omega::KsetOmega`] and
-//! [`crate::consensus_mr::ConsensusMr`] replaced with the bitset slabs of
-//! [`crate::rounds`]. They are *not* dead code: `tests/slab_reference.rs`
+//! implementations that [`fd_core::KsetOmega`] and [`fd_core::ConsensusMr`]
+//! replaced with the bitset slabs of [`fd_core::rounds`]. `slab_reference.rs`
 //! runs both implementations through the full scenario engine and pins
 //! their scenario fingerprints bit-for-bit equal across process counts,
-//! queue disciplines, thread counts and message adversaries. Any
-//! divergence introduced into the slab automata fails that suite.
-//!
-//! Gated behind the default-on `vec-reference` feature so production
-//! builds can shed it with `--no-default-features`.
+//! thread counts and message adversaries. Any divergence introduced into
+//! the slab automata fails that suite. Only test code builds this module.
 
-use crate::spec;
+use fd_core::spec;
 use fd_detectors::scenario::{
     churn_envelope, default_proposals, run_to_decision, salt, ChurnGuarantee, CrashPlan, Flavour,
     OracleVisitor, Scenario, ScenarioReport, ScenarioSpec,
@@ -23,8 +19,7 @@ use fd_sim::{
 };
 use std::collections::HashMap;
 
-use crate::consensus_mr::MrMsg;
-use crate::kset_omega::{KsetMsg, LeaderInput};
+use fd_core::{KsetMsg, MrMsg};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum KStage {
@@ -45,8 +40,6 @@ pub struct KsetOmegaRef {
     p1: HashMap<u32, Vec<(ProcessId, PSet, u64)>>,
     p2: HashMap<u32, Vec<(ProcessId, Option<u64>)>>,
     decided: bool,
-    leader_input: LeaderInput,
-    external_leaders: PSet,
 }
 
 impl KsetOmegaRef {
@@ -61,37 +54,11 @@ impl KsetOmegaRef {
             p1: HashMap::new(),
             p2: HashMap::new(),
             decided: false,
-            leader_input: LeaderInput::Oracle,
-            external_leaders: PSet::EMPTY,
         }
-    }
-
-    /// Switches the leader source to [`LeaderInput::External`].
-    pub fn with_external_leaders(mut self) -> Self {
-        self.leader_input = LeaderInput::External;
-        self
-    }
-
-    /// Updates the externally supplied leader set (external mode only).
-    pub fn set_external_leaders(&mut self, l: PSet) {
-        self.external_leaders = l;
-    }
-
-    /// Whether this process has decided.
-    pub fn has_decided(&self) -> bool {
-        self.decided
-    }
-
-    /// The current round number (1-based once started).
-    pub fn round(&self) -> u32 {
-        self.r
     }
 
     fn read_leaders<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) -> PSet {
-        match self.leader_input {
-            LeaderInput::Oracle => ctx.trusted(),
-            LeaderInput::External => self.external_leaders,
-        }
+        ctx.trusted()
     }
 
     fn begin_round<O: OracleSuite + ?Sized>(&mut self, ctx: &mut Ctx<'_, KsetMsg, O>) {
@@ -248,11 +215,6 @@ impl ConsensusMrRef {
         }
     }
 
-    /// Whether this process has decided.
-    pub fn has_decided(&self) -> bool {
-        self.decided
-    }
-
     fn coordinator(&self, n: usize) -> ProcessId {
         ProcessId(((self.r as usize).saturating_sub(1)) % n)
     }
@@ -364,7 +326,7 @@ impl Automaton for ConsensusMrRef {
 const _: fn(&mut KsetMsg, u64, &mut SplitMix64) -> bool = <KsetMsg as Corruptible>::corrupt;
 const _: fn(&mut MrMsg, u64, &mut SplitMix64) -> bool = <MrMsg as Corruptible>::corrupt;
 
-/// [`crate::scenario::KsetScenario`], but running [`KsetOmegaRef`] — same
+/// [`fd_core::KsetScenario`], but running [`KsetOmegaRef`] — same
 /// name, same oracle wiring, same check, so its [`ScenarioReport`]
 /// fingerprint is directly comparable to the production scenario's.
 #[derive(Clone, Copy, Debug, Default)]
@@ -410,7 +372,7 @@ impl Scenario for KsetReferenceScenario {
     }
 }
 
-/// [`crate::scenario::ConsensusScenario`], but running [`ConsensusMrRef`].
+/// [`fd_core::ConsensusScenario`], but running [`ConsensusMrRef`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsensusReferenceScenario;
 

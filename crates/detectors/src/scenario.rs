@@ -57,9 +57,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-// Spec authors pick their event core through the spec's `queue` knob and
-// their message adversary through `adversary`; re-export the knobs so they
-// need not depend on `fd_sim` directly.
+// Spec authors pick their message adversary and topology through the
+// spec's knobs; re-export the knob types so they need not depend on
+// `fd_sim` directly. `QueueKind` only names the one event core.
 pub use fd_sim::QueueKind;
 pub use fd_sim::{LinkFate, LinkOverride, TopologyEpoch, TopologySchedule};
 pub use fd_sim::{MessageAdversary, MessageRule, RuleAction};
@@ -79,7 +79,10 @@ pub use fd_sim::{MessageAdversary, MessageRule, RuleAction};
 ///   changes every recorded number of the affected scenarios;
 /// * **changing the number or order of RNG draws** (e.g. sampling the crash
 ///   time before the crash victim, or adding a draw in a loop) shifts all
-///   subsequent draws of that stream and has the same effect.
+///   subsequent draws of that stream and has the same effect;
+/// * **changing the event order** — `fd_sim::EventQueue` pops in ascending
+///   `(at, seq)`, `seq` being the insertion number — reorders activations,
+///   and with them every draw made during a run.
 ///
 /// Neither is ever a compatible change: treat salts and draw order as part
 /// of the on-disk format, and regenerate all recorded artifacts when one
@@ -307,10 +310,6 @@ pub struct ScenarioSpec {
     pub max_time: Time,
     /// Shared-memory horizon (scheduler steps).
     pub max_steps: u64,
-    /// Which event-queue implementation drives the simulator. Both pop in
-    /// the same `(at, seq)` order, so this knob never changes a trace —
-    /// only how fast the run goes (calendar is the default).
-    pub queue: QueueKind,
     /// The message adversary attacking the plain channels (drop /
     /// duplicate / bounded corruption; [`MessageAdversary::None`] is
     /// bit-identical to the pre-adversary engine).
@@ -346,7 +345,6 @@ impl ScenarioSpec {
             seed: 0,
             max_time: Time(100_000),
             max_steps: 200_000,
-            queue: QueueKind::default(),
             adversary: MessageAdversary::None,
             topology: TopologySchedule::None,
             catch_up: false,
@@ -432,12 +430,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the event-queue implementation (builder style).
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Sets the message adversary (builder style).
     pub fn adversary(mut self, adversary: MessageAdversary) -> Self {
         self.adversary = adversary;
@@ -473,13 +465,8 @@ impl ScenarioSpec {
     /// (the seed is the other half, so one fingerprint covers a whole
     /// sweep).
     ///
-    /// Two knobs are deliberately excluded:
-    ///
-    /// * **`seed`** — it varies per run inside a sweep;
-    /// * **`queue`** — the event-queue choice never changes a trace (the
-    ///   repository's central determinism contract, enforced by the
-    ///   differential suites), so runs on the calendar queue and the heap
-    ///   are *the same run* and may share a cache entry.
+    /// The seed is deliberately excluded: it varies per run inside a
+    /// sweep.
     ///
     /// Everything else that can shape a run is folded in: sizes and grid
     /// parameters, oracle choice, crash plan (explicit patterns by
@@ -497,7 +484,7 @@ impl ScenarioSpec {
         // Exhaustive destructure, no `..` rest pattern: adding a field to
         // `ScenarioSpec` must fail to compile here until the author
         // decides whether it shapes runs (hash it) or is deliberately
-        // excluded like the two below — a silent omission would hand one
+        // excluded like the seed below — a silent omission would hand one
         // spec's cached reports to another.
         let ScenarioSpec {
             n,
@@ -514,7 +501,6 @@ impl ScenarioSpec {
             seed: _, // the cache key's other half
             max_time,
             max_steps,
-            queue: _, // never changes a trace (the determinism contract)
             adversary,
             topology,
             catch_up,
@@ -611,7 +597,6 @@ impl ScenarioSpec {
             max_time: self.max_time,
             delay: self.delay.clone(),
             rules: self.rules.clone(),
-            queue: self.queue,
             adversary: self.adversary.clone(),
             topology: self.topology.clone(),
             ..SimConfig::new(self.n, self.t)
@@ -1027,8 +1012,7 @@ impl ScenarioReport {
     /// message counts, every decision, every published history sample, and
     /// the counters. Two runs are *the same run* iff their fingerprints
     /// match — the currency of the determinism tests (parallel vs
-    /// sequential, calendar queue vs binary heap) and of the bench smoke's
-    /// queue cross-check.
+    /// sequential, rerun vs rerun, cold vs cached).
     ///
     /// Uses [`std::collections::hash_map::DefaultHasher`], which hashes
     /// with fixed keys — the digest is stable across runs and builds of
@@ -1873,17 +1857,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_queue_knob_reaches_sim_config() {
-        let spec = ScenarioSpec::new(5, 2);
-        assert_eq!(spec.queue, QueueKind::Auto, "Auto is the default");
-        assert_eq!(spec.sim_config().queue, QueueKind::Auto);
-        let heap = spec.clone().queue(QueueKind::BinaryHeap);
-        assert_eq!(heap.sim_config().queue, QueueKind::BinaryHeap);
-        let cal = spec.queue(QueueKind::Calendar);
-        assert_eq!(cal.sim_config().queue, QueueKind::Calendar);
-    }
-
-    #[test]
     fn spec_fingerprint_covers_the_knobs_but_not_seed_or_queue() {
         fn islands_34() -> Vec<fd_sim::PSet> {
             vec![
@@ -1901,11 +1874,8 @@ mod tests {
         let fp = base.fingerprint();
         // Stable across clones and reruns.
         assert_eq!(fp, base.clone().fingerprint());
-        // Seed and queue are deliberately excluded: neither changes what a
-        // sweep computes (seed is the key's other half; the queue never
-        // changes a trace).
+        // The seed is deliberately excluded: it is the key's other half.
         assert_eq!(fp, base.clone().seed(99).fingerprint());
-        assert_eq!(fp, base.clone().queue(QueueKind::BinaryHeap).fingerprint());
         // Every other knob separates.
         let variants = [
             ScenarioSpec::new(8, 3).kz(2).gst(Time(500)),
@@ -2011,12 +1981,12 @@ mod tests {
         assert_eq!(cache.misses(), 200);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.entries(), 200);
-        // Warm sweep: bit-identical summary, zero new executions — and the
-        // queue knob may differ, since it never changes a run.
-        for (threads, queue) in [(1usize, QueueKind::Auto), (4, QueueKind::BinaryHeap)] {
+        // Warm sweep: bit-identical summary, zero new executions, at any
+        // thread count.
+        for threads in [1usize, 4] {
             let warm = Runner::with_threads(threads)
                 .with_cache(cache)
-                .sweep_summary(&probe, &base.clone().queue(queue), 0..200);
+                .sweep_summary(&probe, &base, 0..200);
             assert_eq!(warm, cold, "threads={threads}");
             assert_eq!(
                 executed.load(Ordering::Relaxed),

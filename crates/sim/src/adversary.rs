@@ -25,7 +25,7 @@
 //!   would have had without the adversary.
 //! * **Duplicate** — a second copy is scheduled with an independently drawn
 //!   delay (from the adversary stream). Both copies carry the same payload;
-//!   duplication never reorders the scheduler's `(at, seq)` pop order
+//!   duplication never reorders the event queue's `(at, seq)` pop order
 //!   because copies are ordinary pushes.
 //! * **Corrupt** — the payload is mutated in place via [`Corruptible`],
 //!   within a declared `bound` (Byzantine-ish, but *bounded*: the victim

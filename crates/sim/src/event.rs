@@ -1,15 +1,10 @@
-//! The discrete-event core: a [`Scheduler`] abstraction with two
-//! deterministically-equivalent implementations.
+//! The discrete-event core: [`EventQueue`], a binary heap of events.
 //!
-//! The simulator's hot loop is `pop → activate → push*`. Both schedulers —
-//! the reference [`EventQueue`] (a binary heap) and the [`CalendarQueue`]
-//! (a bucketed calendar, O(1) amortized for the near-monotone timestamp
-//! distributions of round-based protocols) — pop events in exactly the same
-//! order: ascending `(at, seq)`, where `seq` is the insertion sequence
-//! number. That total order is part of the repository's reproducibility
-//! contract (see `fd_detectors::scenario::salt`): swapping the queue
-//! implementation must never change a trace, and the differential tests in
-//! `tests/scenario_engine.rs` enforce it with full-trace fingerprints.
+//! The simulator's hot loop is `pop → activate → push*`. The queue pops
+//! events in ascending `(at, seq)` order, where `seq` is the insertion
+//! sequence number. That total order is part of the repository's
+//! reproducibility contract (see `fd_detectors::scenario::salt`): the
+//! recorded trace fingerprints in `tests/scenario_engine.rs` pin it.
 //!
 //! Events are plain [`Copy`] data: message payloads live in the
 //! [`crate::arena::MsgArena`] and deliveries carry a [`MsgSlot`] handle, so
@@ -83,12 +78,11 @@ impl PartialOrd for Event {
     }
 }
 
-/// A not-yet-sequenced event staged for a [`Scheduler::push_batch`] call.
+/// A not-yet-sequenced event staged for an [`EventQueue::push_batch`] call.
 ///
 /// Broadcast routing stages all of a broadcast's deliveries into one
-/// (caller-recycled) `Vec<Staged>` and hands them to the scheduler in a
-/// single call, so the queue pays its per-insert bookkeeping once per day
-/// (calendar) or reserves once (heap) instead of once per recipient. Staged
+/// (caller-recycled) `Vec<Staged>` and hands them to the queue in a single
+/// call, so the heap reserves once instead of once per recipient. Staged
 /// events are `Copy`: the batch is passed by slice and the caller clears
 /// and recycles the buffer.
 #[derive(Clone, Copy, Debug)]
@@ -101,71 +95,13 @@ pub struct Staged {
     pub kind: EventKind,
 }
 
-/// A time-ordered event queue with deterministic tie-breaking.
-///
-/// The contract every implementation must honour:
-///
-/// * [`Scheduler::push`] assigns the event the next insertion sequence
-///   number (starting at 0);
-/// * [`Scheduler::push_batch`] inserts the staged events in slice order, as
-///   if each had been [`Scheduler::push`]ed individually — same sequence
-///   numbers, same pending set — and exists only so implementations can
-///   amortize per-insert bookkeeping over a broadcast;
-/// * [`Scheduler::pop`] removes the pending event with the smallest
-///   `(at, seq)` key — so two schedulers fed the same pushes pop the same
-///   events in the same order, bit for bit.
-pub trait Scheduler: std::fmt::Debug {
-    /// Schedules `kind` for `to` at time `at`.
-    fn push(&mut self, at: Time, to: ProcessId, kind: EventKind);
-
-    /// Schedules every staged event, in slice order. Observationally
-    /// identical to pushing one by one.
-    fn push_batch(&mut self, batch: &[Staged]) {
-        for s in batch {
-            self.push(s.at, s.to, s.kind);
-        }
-    }
-
-    /// Removes and returns the pending event with the smallest `(at, seq)`.
-    fn pop(&mut self) -> Option<Event>;
-
-    /// The time of the earliest pending event.
-    fn peek_time(&self) -> Option<Time>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// System sizes up to this many processes resolve [`QueueKind::Auto`] to
-/// the calendar queue; larger ones take the binary heap. Currently `0`:
-/// re-measuring calendar vs heap per system size on the current runner
-/// (24-seed crashy k-set cells, f = t, repeated) put the heap ahead by
-/// 8–46% at every n from 5 to 128 — the calendar's former small-`n` edge
-/// did not reproduce (its best showing, n ≈ 9, was within run-to-run
-/// noise), so `Auto` now hands every size to the heap. Raise this to
-/// re-open a small-`n` calendar window; the bench `auto_queue` leg gates
-/// any retune at no worse than 30% below the better concrete queue.
-pub const AUTO_CALENDAR_MAX_N: usize = 0;
-
-/// Which [`Scheduler`] implementation a simulation uses.
+/// The name of the event core a run uses. There is one, the binary heap;
+/// the type remains only because the benchmark in `perfbench/` names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueKind {
-    /// The reference [`EventQueue`] (binary heap).
-    BinaryHeap,
-    /// The [`CalendarQueue`] (bucketed calendar): faster on the
-    /// near-monotone event streams of round-based protocols, and
-    /// pop-order-identical to the heap by construction.
-    Calendar,
-    /// Pick per run from the system size — the default. Because both
-    /// concrete queues pop in the same `(at, seq)` order, the choice never
-    /// changes a trace, only how fast the run goes.
+    /// The [`EventQueue`] (binary heap).
     #[default]
-    Auto,
+    BinaryHeap,
 }
 
 impl QueueKind {
@@ -173,46 +109,19 @@ impl QueueKind {
     pub fn name(self) -> &'static str {
         match self {
             QueueKind::BinaryHeap => "binary_heap",
-            QueueKind::Calendar => "calendar",
-            QueueKind::Auto => "auto",
-        }
-    }
-
-    /// Resolves [`QueueKind::Auto`] to a concrete implementation for a run
-    /// of `n` processes; concrete kinds return themselves.
-    ///
-    /// The heuristic keys on `n` because the expected broadcast fan-out —
-    /// and with it the depth of same-day event groups — grows linearly
-    /// with it: every broadcast schedules `n` deliveries into a ~10-tick
-    /// delay window, so at large `n` each calendar day holds hundreds of
-    /// events (the documented backlog regime). Day promotion made that
-    /// case logarithmic and brought the calendar to heap parity at n = 128,
-    /// but a per-`n` re-measurement on the current runner (see
-    /// [`AUTO_CALENDAR_MAX_N`]) showed the heap ahead at *every* size once
-    /// full crash plans are in play — the calendar's raw near-monotone
-    /// stream edge does not survive the protocol workload. `Auto` therefore
-    /// resolves to the heap throughout ([`AUTO_CALENDAR_MAX_N`] = 0); the
-    /// calendar stays reachable explicitly and pop-order-identical, so the
-    /// choice still never changes a trace.
-    // AUTO_CALENDAR_MAX_N is a tuning knob currently sitting at 0, which
-    // makes the window check constant-foldable; the comparison must stay
-    // written against the knob so a retune is a one-line const change.
-    #[allow(clippy::absurd_extreme_comparisons)]
-    pub fn resolve(self, n: usize) -> QueueKind {
-        match self {
-            QueueKind::Auto => {
-                if AUTO_CALENDAR_MAX_N > 0 && n <= AUTO_CALENDAR_MAX_N {
-                    QueueKind::Calendar
-                } else {
-                    QueueKind::BinaryHeap
-                }
-            }
-            concrete => concrete,
         }
     }
 }
 
-/// The reference scheduler: a [`BinaryHeap`] ordered by `(at, seq)`.
+/// A time-ordered event queue with deterministic tie-breaking: a
+/// [`BinaryHeap`] ordered by `(at, seq)`.
+///
+/// * [`EventQueue::push`] assigns the event the next insertion sequence
+///   number (starting at 0);
+/// * [`EventQueue::push_batch`] inserts the staged events in slice order,
+///   exactly as if each had been pushed individually;
+/// * [`EventQueue::pop`] removes the pending event with the smallest
+///   `(at, seq)` key.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
@@ -227,450 +136,42 @@ impl EventQueue {
             next_seq: 0,
         }
     }
-}
 
-impl Scheduler for EventQueue {
-    fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
+    /// Schedules `kind` for `to` at time `at`.
+    pub fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { at, seq, to, kind });
     }
 
-    fn push_batch(&mut self, batch: &[Staged]) {
-        // One capacity check for the whole broadcast instead of one per
-        // recipient; insertion order (and thus `seq`) is unchanged.
+    /// Schedules every staged event, in slice order. Observationally
+    /// identical to pushing one by one; one capacity check for the whole
+    /// broadcast instead of one per recipient.
+    pub fn push_batch(&mut self, batch: &[Staged]) {
         self.heap.reserve(batch.len());
         for s in batch {
             self.push(s.at, s.to, s.kind);
         }
     }
 
-    fn pop(&mut self) -> Option<Event> {
+    /// Removes and returns the pending event with the smallest `(at, seq)`.
+    pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
 
-    fn peek_time(&self) -> Option<Time> {
+    /// The time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
-}
 
-/// Default ticks per calendar bucket (see [`CalendarQueue::with_width`]).
-pub const DEFAULT_BUCKET_WIDTH: u64 = 1;
-
-/// Initial bucket count (always a power of two).
-const INITIAL_BUCKETS: usize = 256;
-
-/// Doubling threshold: grow when the queue holds more than this many events
-/// per bucket on average.
-const GROW_FACTOR: usize = 2;
-
-/// Hard cap on the bucket count.
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// A day bucket holding more events than this is *promoted*: its vector is
-/// rearranged into a binary min-heap on the packed `(at, seq)` key, turning
-/// the per-pop linear scan of a deep same-day backlog into an `O(log d)`
-/// root removal. Promotion depends only on the bucket's occupancy — a pure
-/// function of the push sequence — and the popped order is keyed on content
-/// either way, so it can never perturb determinism.
-const PROMOTE_THRESHOLD: usize = 32;
-
-/// The packed scan/heap key: `at` in the high 64 bits, `seq` in the low —
-/// one `u128` compare per element, ordering exactly like `(at, seq)`.
-#[inline]
-fn pack(e: &Event) -> u128 {
-    ((e.at.ticks() as u128) << 64) | e.seq as u128
-}
-
-/// One calendar day bucket: a plain vector scanned linearly while small,
-/// promoted to an inline binary min-heap (keyed on [`pack`]) once a deep
-/// same-day backlog pushes it past [`PROMOTE_THRESHOLD`].
-#[derive(Debug)]
-struct Bucket {
-    events: Vec<Event>,
-    /// Whether `events` currently satisfies the min-heap invariant.
-    heaped: bool,
-}
-
-impl Bucket {
-    fn new() -> Self {
-        Bucket {
-            events: Vec::new(),
-            heaped: false,
-        }
-    }
-
-    fn insert(&mut self, ev: Event) {
-        self.events.push(ev);
-        if self.heaped {
-            self.sift_up(self.events.len() - 1);
-        } else if self.events.len() > PROMOTE_THRESHOLD {
-            self.promote();
-        }
-    }
-
-    /// Establishes the heap invariant (classic bottom-up heapify).
-    fn promote(&mut self) {
-        self.heaped = true;
-        for i in (0..self.events.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
-    /// Position and packed key of the bucket's smallest `(at, seq)` event.
-    /// Because a day's events all precede the next day's in `at`, this is
-    /// also the smallest event of the *earliest day* present in the bucket.
-    fn min_pos_key(&self) -> Option<(usize, u128)> {
-        if self.heaped {
-            return self.events.first().map(|e| (0, pack(e)));
-        }
-        let mut best: Option<(usize, u128)> = None;
-        for (i, e) in self.events.iter().enumerate() {
-            let key = pack(e);
-            if best.is_none_or(|(_, bk)| key < bk) {
-                best = Some((i, key));
-            }
-        }
-        best
-    }
-
-    /// Removes the event at `pos` (which must be a `min_pos_key` result).
-    fn remove(&mut self, pos: usize) -> Event {
-        let ev = if self.heaped {
-            debug_assert_eq!(pos, 0, "heaped buckets only remove the root");
-            let last = self.events.len() - 1;
-            self.events.swap(0, last);
-            let ev = self.events.pop().expect("remove from empty bucket");
-            if !self.events.is_empty() {
-                self.sift_down(0);
-            }
-            ev
-        } else {
-            self.events.swap_remove(pos)
-        };
-        if self.events.is_empty() {
-            // Demote empty buckets so a day that was hot once does not pay
-            // sift costs forever (purely content-driven, like promotion).
-            self.heaped = false;
-        }
-        ev
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if pack(&self.events[i]) < pack(&self.events[parent]) {
-                self.events.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.events.len();
-        loop {
-            let left = 2 * i + 1;
-            let right = left + 1;
-            let mut min = i;
-            if left < len && pack(&self.events[left]) < pack(&self.events[min]) {
-                min = left;
-            }
-            if right < len && pack(&self.events[right]) < pack(&self.events[min]) {
-                min = right;
-            }
-            if min == i {
-                break;
-            }
-            self.events.swap(i, min);
-            i = min;
-        }
-    }
-}
-
-/// A deterministic calendar (bucket) queue.
-///
-/// Events are hashed into `buckets[(at >> width_shift) & mask]`; all
-/// events of one *day* (a `width`-tick span, widths are powers of two so
-/// day extraction is a shift) land in the same bucket, so the global
-/// minimum is always found by scanning forward from the current day and
-/// selecting the smallest `(at, seq)` among that day's events — the exact
-/// order the binary heap produces. A full empty cycle of buckets triggers
-/// a direct jump to the earliest pending day, so sparse schedules (a lone
-/// timer far in the future) stay O(buckets) instead of O(horizon).
-///
-/// The bucket count doubles (up to a cap) whenever average occupancy
-/// exceeds [`GROW_FACTOR`], keeping per-pop scans short; resizing depends
-/// only on the queue's content, never on wall-clock or allocation state,
-/// so it cannot perturb determinism. A single *deep* day — the broadcast
-/// storms of large-`n` runs, where resizing cannot help because the events
-/// genuinely share a day — is handled by promoting that day's bucket to an
-/// inline binary heap on the packed `(at, seq)` key (see
-/// [`PROMOTE_THRESHOLD`]), which keeps worst-case pops logarithmic in the
-/// day depth while leaving the pop *order* untouched.
-#[derive(Debug)]
-pub struct CalendarQueue {
-    buckets: Vec<Bucket>,
-    /// `log2` of the ticks-per-bucket width.
-    width_shift: u32,
-    /// `buckets.len() - 1` (the bucket count is a power of two).
-    bucket_mask: u64,
-    /// Day cursor: no pending event fires before `day << width_shift`.
-    day: u64,
-    len: usize,
-    next_seq: u64,
-}
-
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CalendarQueue {
-    /// An empty queue with the default bucket width.
-    pub fn new() -> Self {
-        Self::with_width(DEFAULT_BUCKET_WIDTH)
-    }
-
-    /// An empty queue with `width` ticks per bucket (rounded up to a power
-    /// of two, so day extraction compiles to a shift).
-    ///
-    /// The default of [`DEFAULT_BUCKET_WIDTH`] suits the simulator's
-    /// standard delay models (uniform 1–10 tick delays, 1–5 tick step
-    /// intervals, several events per tick): narrow days keep the per-pop
-    /// selection scan at the tie-group size. Larger widths trade longer
-    /// same-day scans for fewer empty-day probes on sparser schedules.
-    pub fn with_width(width: u64) -> Self {
-        CalendarQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| Bucket::new()).collect(),
-            width_shift: width.max(1).next_power_of_two().trailing_zeros(),
-            bucket_mask: INITIAL_BUCKETS as u64 - 1,
-            day: 0,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    #[inline]
-    fn day_of(&self, at: Time) -> u64 {
-        at.ticks() >> self.width_shift
-    }
-
-    /// The earliest pending day (queue must be non-empty).
-    fn min_day(&self) -> u64 {
-        self.buckets
-            .iter()
-            .filter_map(|b| b.min_pos_key())
-            .map(|(_, key)| ((key >> 64) as u64) >> self.width_shift)
-            .min()
-            .expect("min_day on empty queue")
-    }
-
-    /// Assigns the next sequence number and the event's day, maintaining
-    /// the day cursor — the shared per-event front half of
-    /// [`Scheduler::push`] and [`Scheduler::push_batch`], so the two paths
-    /// cannot drift apart on the queue's invariants. (The simulator only
-    /// schedules at or after `now`, but stay correct for arbitrary pushes:
-    /// never let the cursor sit past a pending day.)
-    #[inline]
-    fn sequence(&mut self, at: Time) -> (u64, u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let day = self.day_of(at);
-        if day < self.day {
-            self.day = day;
-        }
-        (seq, day)
-    }
-
-    /// Doubles the bucket count when average occupancy exceeds
-    /// [`GROW_FACTOR`] — called once per push, once per batch.
-    #[inline]
-    fn maybe_grow(&mut self) {
-        if self.len > self.buckets.len() * GROW_FACTOR {
-            self.grow();
-        }
-    }
-
-    fn grow(&mut self) {
-        if self.buckets.len() >= MAX_BUCKETS {
-            return;
-        }
-        let doubled = self.buckets.len() * 2;
-        let events: Vec<Event> = self
-            .buckets
-            .iter_mut()
-            .flat_map(|b| std::mem::take(&mut b.events))
-            .collect();
-        self.buckets = (0..doubled).map(|_| Bucket::new()).collect();
-        self.bucket_mask = doubled as u64 - 1;
-        for ev in events {
-            let idx = (self.day_of(ev.at) & self.bucket_mask) as usize;
-            self.buckets[idx].insert(ev);
-        }
-    }
-}
-
-impl Scheduler for CalendarQueue {
-    fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
-        let (seq, day) = self.sequence(at);
-        let idx = (day & self.bucket_mask) as usize;
-        self.buckets[idx].insert(Event { at, seq, to, kind });
-        self.len += 1;
-        self.maybe_grow();
-    }
-
-    fn push_batch(&mut self, batch: &[Staged]) {
-        // A broadcast's deliveries land in a handful of adjacent days, so
-        // cache the day → bucket-index mapping between consecutive entries
-        // and run the occupancy (grow) check once for the whole batch.
-        // Deferring the grow is layout-only: pop order is keyed on
-        // `(at, seq)` content, never on which bucket an event sits in.
-        let mut cached: Option<(u64, usize)> = None;
-        for s in batch {
-            let (seq, day) = self.sequence(s.at);
-            let idx = match cached {
-                Some((d, idx)) if d == day => idx,
-                _ => {
-                    let idx = (day & self.bucket_mask) as usize;
-                    cached = Some((day, idx));
-                    idx
-                }
-            };
-            self.buckets[idx].insert(Event {
-                at: s.at,
-                seq,
-                to: s.to,
-                kind: s.kind,
-            });
-            self.len += 1;
-        }
-        self.maybe_grow();
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        if self.len == 0 {
-            return None;
-        }
-        let shift = self.width_shift;
-        let mut day = self.day;
-        let mut scanned = 0u64;
-        loop {
-            let bucket = &mut self.buckets[(day & self.bucket_mask) as usize];
-            // The bucket's minimum `(at, seq)` belongs to the earliest day
-            // present in it (a day's `at` values all precede the next
-            // day's). The scan never probes a day whose bucket holds an
-            // earlier not-yet-probed day — probes from the cursor cover
-            // < bucket-count distinct days, all with distinct residues —
-            // so "bucket min is of this day" is exactly "this day has a
-            // pending event", and that min is the day's smallest key: the
-            // same event the old per-day filter scan selected.
-            if let Some((pos, key)) = bucket.min_pos_key() {
-                if ((key >> 64) as u64) >> shift == day {
-                    let ev = bucket.remove(pos);
-                    self.len -= 1;
-                    self.day = day;
-                    return Some(ev);
-                }
-            }
-            day += 1;
-            scanned += 1;
-            if scanned > self.bucket_mask {
-                // A whole cycle of empty days: jump straight to the
-                // earliest pending one instead of walking tick by tick.
-                day = self.min_day();
-                scanned = 0;
-            }
-        }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        // Not on the simulator's hot path: a full scan keeps it simple and
-        // trivially consistent with `pop`'s `(at, seq)` order.
-        self.buckets
-            .iter()
-            .filter_map(|b| b.min_pos_key())
-            .map(|(_, key)| key)
-            .min()
-            .map(|key| Time((key >> 64) as u64))
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// The concrete scheduler of a run, chosen by [`QueueKind`].
-///
-/// An enum rather than a boxed trait object so the simulator's hot loop
-/// keeps static dispatch; the [`Scheduler`] trait remains the contract (and
-/// the currency of [`crate::network::Network::route`]).
-#[derive(Debug)]
-pub enum EventCore {
-    /// The reference binary heap.
-    Heap(EventQueue),
-    /// The calendar queue.
-    Calendar(CalendarQueue),
-}
-
-impl EventCore {
-    /// An empty scheduler of the given kind. [`QueueKind::Auto`] resolves
-    /// as for a small system (the calendar queue); runs that know their
-    /// size should use [`EventCore::for_system`] instead.
-    pub fn new(kind: QueueKind) -> Self {
-        Self::for_system(kind, 0)
-    }
-
-    /// An empty scheduler for a run of `n` processes: [`QueueKind::Auto`]
-    /// resolves here via [`QueueKind::resolve`].
-    pub fn for_system(kind: QueueKind, n: usize) -> Self {
-        match kind.resolve(n) {
-            QueueKind::BinaryHeap => EventCore::Heap(EventQueue::new()),
-            QueueKind::Calendar | QueueKind::Auto => EventCore::Calendar(CalendarQueue::new()),
-        }
-    }
-}
-
-impl Scheduler for EventCore {
-    fn push(&mut self, at: Time, to: ProcessId, kind: EventKind) {
-        match self {
-            EventCore::Heap(q) => q.push(at, to, kind),
-            EventCore::Calendar(q) => q.push(at, to, kind),
-        }
-    }
-
-    fn push_batch(&mut self, batch: &[Staged]) {
-        match self {
-            EventCore::Heap(q) => q.push_batch(batch),
-            EventCore::Calendar(q) => q.push_batch(batch),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventCore::Heap(q) => q.pop(),
-            EventCore::Calendar(q) => q.pop(),
-        }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        match self {
-            EventCore::Heap(q) => q.peek_time(),
-            EventCore::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventCore::Heap(q) => q.len(),
-            EventCore::Calendar(q) => q.len(),
-        }
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -678,14 +179,6 @@ impl Scheduler for EventCore {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
-
-    fn queues() -> [Box<dyn Scheduler>; 3] {
-        [
-            Box::new(EventQueue::new()),
-            Box::new(CalendarQueue::new()),
-            Box::new(CalendarQueue::with_width(1)),
-        ]
-    }
 
     /// A delivery kind whose payload lives nowhere: queue-level tests only
     /// exercise ordering, never dereference the slot.
@@ -698,237 +191,58 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in queues() {
-            q.push(Time(5), ProcessId(0), EventKind::Step);
-            q.push(Time(1), ProcessId(1), EventKind::Step);
-            q.push(Time(3), ProcessId(2), EventKind::Crash);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
-            assert_eq!(order, vec![1, 3, 5]);
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(5), ProcessId(0), EventKind::Step);
+        q.push(Time(1), ProcessId(1), EventKind::Step);
+        q.push(Time(3), ProcessId(2), EventKind::Crash);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.at.0).collect();
+        assert_eq!(order, vec![1, 3, 5]);
     }
 
     #[test]
     fn ties_break_by_insertion() {
-        for mut q in queues() {
-            q.push(Time(2), ProcessId(0), EventKind::Step);
-            q.push(Time(2), ProcessId(1), EventKind::Step);
-            assert_eq!(q.pop().unwrap().to, ProcessId(0));
-            assert_eq!(q.pop().unwrap().to, ProcessId(1));
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(2), ProcessId(0), EventKind::Step);
+        q.push(Time(2), ProcessId(1), EventKind::Step);
+        assert_eq!(q.pop().unwrap().to, ProcessId(0));
+        assert_eq!(q.pop().unwrap().to, ProcessId(1));
     }
 
     #[test]
     fn peek_and_len() {
-        for mut q in queues() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(Time(9), ProcessId(0), EventKind::Step);
-            assert_eq!(q.peek_time(), Some(Time(9)));
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(Time(9), ProcessId(0), EventKind::Step);
+        assert_eq!(q.peek_time(), Some(Time(9)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn sparse_far_future_events_pop() {
-        // A lone event far beyond a full bucket cycle exercises the
-        // min-day jump.
-        for mut q in queues() {
-            q.push(Time(1_000_000), ProcessId(0), EventKind::Step);
-            q.push(Time(2), ProcessId(1), EventKind::Step);
-            assert_eq!(q.pop().unwrap().at, Time(2));
-            assert_eq!(q.pop().unwrap().at, Time(1_000_000));
-            assert!(q.pop().is_none());
-        }
-    }
-
-    /// The differential contract at the unit level: under a randomized
-    /// interleaving of pushes and pops (including same-tick ties and
-    /// resize-triggering bursts), the calendar queue pops exactly what the
-    /// heap pops.
-    #[test]
-    fn calendar_matches_heap_differentially() {
-        for seed in 0..32u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut heap: EventQueue = EventQueue::new();
-            let mut cal: CalendarQueue = CalendarQueue::with_width(rng.range(1, 8));
-            let mut now = 0u64;
-            for _ in 0..600 {
-                if rng.chance(2, 3) || heap.is_empty() {
-                    // Push 1–6 events at near-monotone times (occasionally
-                    // far ahead, like a delay-rule release).
-                    for _ in 0..rng.range(1, 6) {
-                        let at = if rng.chance(1, 10) {
-                            now + rng.range(200, 900)
-                        } else {
-                            now + rng.range(0, 12)
-                        };
-                        let to = ProcessId(rng.below(8) as usize);
-                        heap.push(Time(at), to, EventKind::Step);
-                        cal.push(Time(at), to, EventKind::Step);
-                    }
-                } else {
-                    let a = heap.pop().unwrap();
-                    let b = cal.pop().unwrap();
-                    assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
-                    now = a.at.0;
-                }
-                assert_eq!(heap.len(), cal.len(), "seed {seed}");
-            }
-            // Drain both fully.
-            while let Some(a) = heap.pop() {
-                let b = cal.pop().unwrap();
-                assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
-            }
-            assert!(cal.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn grow_preserves_order() {
-        let mut cal: CalendarQueue = CalendarQueue::new();
-        let mut heap: EventQueue = EventQueue::new();
-        // Enough events to force several doublings.
-        for i in 0..4_000u64 {
-            let at = Time((i * 7919) % 10_000);
-            cal.push(at, ProcessId(0), EventKind::Step);
-            heap.push(at, ProcessId(0), EventKind::Step);
-        }
-        for _ in 0..4_000 {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!((a.at, a.seq), (b.at, b.seq));
-        }
-    }
-
-    #[test]
-    fn event_core_dispatches_both_kinds() {
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            let mut q: EventCore = EventCore::new(kind);
-            q.push(Time(4), ProcessId(1), EventKind::Step);
-            q.push(Time(4), ProcessId(2), EventKind::Step);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(Time(4)));
-            assert_eq!(q.pop().unwrap().to, ProcessId(1));
-            assert_eq!(q.pop().unwrap().to, ProcessId(2));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(Time(1_000_000), ProcessId(0), EventKind::Step);
+        q.push(Time(2), ProcessId(1), EventKind::Step);
+        assert_eq!(q.pop().unwrap().at, Time(2));
+        assert_eq!(q.pop().unwrap().at, Time(1_000_000));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn queue_kind_names() {
         assert_eq!(QueueKind::BinaryHeap.name(), "binary_heap");
-        assert_eq!(QueueKind::Calendar.name(), "calendar");
-        assert_eq!(QueueKind::Auto.name(), "auto");
-        assert_eq!(QueueKind::default(), QueueKind::Auto);
-    }
-
-    #[test]
-    fn auto_resolves_by_system_size() {
-        // The calendar window is currently closed (AUTO_CALENDAR_MAX_N = 0):
-        // Auto resolves to the heap at every system size. Keep the assertion
-        // driven by the const so a future retune updates this test with it.
-        assert_eq!(AUTO_CALENDAR_MAX_N, 0);
-        for n in [1usize, 2, 5, 9, 32, 33, 128, 1024] {
-            assert_eq!(QueueKind::Auto.resolve(n), QueueKind::BinaryHeap);
-        }
-        // Concrete kinds are fixed points regardless of n.
-        for n in [2usize, 33, 128] {
-            assert_eq!(QueueKind::Calendar.resolve(n), QueueKind::Calendar);
-            assert_eq!(QueueKind::BinaryHeap.resolve(n), QueueKind::BinaryHeap);
-        }
-        // EventCore honours the resolution.
-        assert!(matches!(
-            EventCore::for_system(QueueKind::Auto, 5),
-            EventCore::Heap(_)
-        ));
-        assert!(matches!(
-            EventCore::for_system(QueueKind::Auto, 128),
-            EventCore::Heap(_)
-        ));
-        // The calendar core stays reachable explicitly.
-        assert!(matches!(
-            EventCore::for_system(QueueKind::Calendar, 5),
-            EventCore::Calendar(_)
-        ));
-    }
-
-    /// The promotion worst case: thousands of events piled into the same
-    /// few days (a broadcast storm) must pop in exactly the heap's order,
-    /// through the promoted in-bucket heaps, interleaved with pops.
-    #[test]
-    fn promoted_day_backlog_matches_heap_pop_order() {
-        for seed in 0..8u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut heap: EventQueue = EventQueue::new();
-            let mut cal: CalendarQueue = CalendarQueue::new();
-            let mut now = 0u64;
-            // Pushes outpace pops 3:1 into a 4-tick band: with width 1,
-            // hundreds of events share each day, far past the promotion
-            // threshold.
-            for i in 0..4_000u32 {
-                for _ in 0..3 {
-                    let at = now + rng.range(0, 4);
-                    let to = ProcessId(rng.below(8) as usize);
-                    heap.push(Time(at), to, deliver(to, i));
-                    cal.push(Time(at), to, deliver(to, i));
-                }
-                let a = heap.pop().unwrap();
-                let b = cal.pop().unwrap();
-                assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
-                now = a.at.0;
-            }
-            while let Some(a) = heap.pop() {
-                let b = cal.pop().unwrap();
-                assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
-            }
-            assert!(cal.pop().is_none());
-        }
-    }
-
-    /// Degenerate batch contents: the extreme `Time::INFINITY` day (whose
-    /// raw value collided with a naive "no cached day yet" sentinel) and
-    /// repeated same-day entries batch exactly like individual pushes.
-    /// `Staged` being `Copy`, one staging buffer feeds both queues with no
-    /// cloning.
-    #[test]
-    fn push_batch_handles_extreme_days() {
-        let mut cal: CalendarQueue = CalendarQueue::new();
-        let mut heap: EventQueue = EventQueue::new();
-        let batch: Vec<Staged> = [Time::INFINITY, Time(0), Time::INFINITY, Time(5)]
-            .into_iter()
-            .map(|at| Staged {
-                at,
-                to: ProcessId(0),
-                kind: EventKind::Step,
-            })
-            .collect();
-        cal.push_batch(&batch);
-        heap.push_batch(&batch);
-        for _ in 0..4 {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!((a.at, a.seq), (b.at, b.seq));
-        }
-        assert!(cal.pop().is_none() && heap.pop().is_none());
+        assert_eq!(QueueKind::default(), QueueKind::BinaryHeap);
     }
 
     /// `push_batch` is observationally identical to pushing one by one —
-    /// same sequence numbers, same pop stream — on every implementation,
-    /// across batch sizes that straddle day boundaries and resizes.
+    /// same sequence numbers, same pop stream — across batch sizes and
+    /// interleaved pops.
     #[test]
     fn push_batch_matches_individual_pushes() {
         for seed in 0..8u64 {
             let mut rng = SplitMix64::new(seed ^ 0xBA7C);
-            let mut scalar: Vec<Box<dyn Scheduler>> = vec![
-                Box::new(EventQueue::new()),
-                Box::new(CalendarQueue::new()),
-                Box::new(EventCore::new(QueueKind::Calendar)),
-            ];
-            let mut batched: Vec<Box<dyn Scheduler>> = vec![
-                Box::new(EventQueue::new()),
-                Box::new(CalendarQueue::new()),
-                Box::new(EventCore::new(QueueKind::Calendar)),
-            ];
+            let mut scalar = EventQueue::new();
+            let mut batched = EventQueue::new();
             let mut staging: Vec<Staged> = Vec::new();
             let mut now = 0u64;
             for round in 0..300u32 {
@@ -937,36 +251,24 @@ mod tests {
                     let at = Time(now + rng.range(0, 12));
                     let to = ProcessId(rng.below(16) as usize);
                     let kind = deliver(to, round);
-                    for q in &mut scalar {
-                        q.push(at, to, kind);
-                    }
+                    scalar.push(at, to, kind);
                     staging.push(Staged { at, to, kind });
                 }
-                // The same staged slice feeds all three queues — no per
-                // queue copy; the caller clears and recycles the buffer.
-                for q in &mut batched {
-                    q.push_batch(&staging);
-                }
+                batched.push_batch(&staging);
                 staging.clear();
                 // Drain a few to interleave pops with batches.
                 for _ in 0..rng.range(0, 8) {
-                    let Some(a) = scalar[0].pop() else { break };
+                    let Some(a) = scalar.pop() else { break };
                     now = a.at.0;
-                    for q in scalar[1..].iter_mut().chain(batched.iter_mut()) {
-                        let b = q.pop().unwrap();
-                        assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
-                    }
-                }
-            }
-            while let Some(a) = scalar[0].pop() {
-                for q in scalar[1..].iter_mut().chain(batched.iter_mut()) {
-                    let b = q.pop().unwrap();
+                    let b = batched.pop().unwrap();
                     assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
                 }
             }
-            for q in scalar.iter().chain(batched.iter()) {
-                assert!(q.is_empty(), "seed {seed}");
+            while let Some(a) = scalar.pop() {
+                let b = batched.pop().unwrap();
+                assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to), "seed {seed}");
             }
+            assert!(batched.is_empty(), "seed {seed}");
         }
     }
 }

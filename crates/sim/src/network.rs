@@ -19,7 +19,7 @@ use crate::adversary::{
     TopologySchedule,
 };
 use crate::arena::MsgArena;
-use crate::event::{EventKind, Scheduler, Staged};
+use crate::event::{EventKind, EventQueue, Staged};
 use crate::id::{PSet, ProcessId};
 use crate::rng::SplitMix64;
 use crate::time::Time;
@@ -290,11 +290,8 @@ impl Network {
 
     /// Routes a point-to-point message: draws its delivery time, applies
     /// the message adversary, stores the surviving payload in `arena`, and
-    /// schedules the delivery for `to` on the given [`Scheduler`]. This is
-    /// the runtime's send path for *plain* channels; the trait bound keeps
-    /// the network agnostic of which queue implementation a run chose while
-    /// staying statically dispatched (`?Sized` also admits
-    /// `&mut dyn Scheduler` where a trait object is genuinely needed).
+    /// schedules the delivery for `to` on `queue`. This is the runtime's
+    /// send path for *plain* channels.
     ///
     /// Returns what the adversary did ([`RouteEffects::default`] on the
     /// clean path). With [`MessageAdversary::None`] this is draw-for-draw
@@ -304,9 +301,9 @@ impl Network {
     /// messages that end up dropped — so the delivered subset keeps exactly
     /// the delivery times it would have had in the clean run. Dropped
     /// payloads never touch the arena.
-    pub fn route<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
+    pub fn route<M: Clone + Corruptible>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue,
         arena: &mut MsgArena<M>,
         from: ProcessId,
         to: ProcessId,
@@ -321,7 +318,7 @@ impl Network {
     /// The one routing core every plain-channel path shares: draws the
     /// delivery time, applies the message adversary (corruption mutates the
     /// still-owned payload *before* it is stored), allocates the arena
-    /// slot, and *emits* the resulting event(s) — directly into a scheduler
+    /// slot, and *emits* the resulting event(s) — directly into the queue
     /// for the scalar [`Network::route`], into a staging buffer for
     /// [`Network::route_broadcast`]. Keeping it in one place is what pins
     /// the draw-order contract down: delay draw first (from the delay
@@ -440,9 +437,8 @@ impl Network {
     /// exact per-recipient order the scalar [`Network::route`] loop
     /// produces, so traces are bit-identical — stages the deliveries into
     /// the caller-recycled `staging` buffer, and inserts them through one
-    /// [`Scheduler::push_batch`] call (one day-lookup per day on the
-    /// calendar queue, one reserve on the heap, instead of full per-push
-    /// bookkeeping `n` times).
+    /// [`EventQueue::push_batch`] call (one reserve on the heap instead of
+    /// `n` capacity checks).
     ///
     /// On the adversary-free path the payload is stored **once** (one arena
     /// slot with `n` pending deliveries): routing the broadcast costs no
@@ -459,9 +455,9 @@ impl Network {
     // path exists; folding them into a params struct would only move
     // the argument count somewhere less legible.
     #[allow(clippy::too_many_arguments)]
-    pub fn route_broadcast<M: Clone + Corruptible, Q: Scheduler + ?Sized>(
+    pub fn route_broadcast<M: Clone + Corruptible>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue,
         arena: &mut MsgArena<M>,
         from: ProcessId,
         n: usize,
@@ -518,9 +514,9 @@ impl Network {
     /// synchronizing into one mega-tick), and a latency override replaces
     /// the drawn delivery time. This is exactly the model's delay-only
     /// adversary — arbitrary finite delays over reliable channels.
-    pub fn route_protected<M, Q: Scheduler + ?Sized>(
+    pub fn route_protected<M>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue,
         arena: &mut MsgArena<M>,
         from: ProcessId,
         to: ProcessId,
@@ -559,15 +555,15 @@ impl Network {
     /// delivery of `msg` per process in `receivers`, delays drawn in
     /// iteration order (identical to the scalar loop), the payload stored
     /// once (one slot, one pending delivery per receiver), inserted through
-    /// a single [`Scheduler::push_batch`] call. `staging` must arrive empty
+    /// a single [`EventQueue::push_batch`] call. `staging` must arrive empty
     /// and is cleared again before returning.
     // The arena + recycled staging buffer are exactly why the batch
     // path exists; folding them into a params struct would only move
     // the argument count somewhere less legible.
     #[allow(clippy::too_many_arguments)]
-    pub fn route_protected_batch<M, Q: Scheduler + ?Sized>(
+    pub fn route_protected_batch<M>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue,
         arena: &mut MsgArena<M>,
         from: ProcessId,
         receivers: impl IntoIterator<Item = ProcessId>,
@@ -687,41 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn route_schedules_identically_on_both_queue_impls() {
-        use crate::event::{CalendarQueue, EventQueue};
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut arena_a: MsgArena<u64> = MsgArena::new();
-        let mut arena_b: MsgArena<u64> = MsgArena::new();
-        let mut net_a = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
-        let mut net_b = net_a.clone();
-        for i in 0..50u64 {
-            let from = ProcessId(i as usize % 3);
-            let to = ProcessId((i as usize + 1) % 3);
-            let sent = Time(i);
-            net_a.route(&mut heap, &mut arena_a, from, to, sent, i);
-            net_b.route(&mut cal, &mut arena_b, from, to, sent, i);
-        }
-        for _ in 0..50 {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.to), (b.at, b.seq, b.to));
-            assert_eq!(
-                take_delivery(&mut arena_a, &a),
-                take_delivery(&mut arena_b, &b)
-            );
-        }
-        assert!(arena_a.is_empty() && arena_b.is_empty());
-    }
-
-    #[test]
     fn adversary_none_routes_identically_to_the_plain_path() {
         // The fast path and an empty-rule adversary must both be
         // draw-for-draw identical to the pre-adversary network.
         let mut plain = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng());
         let mut none = Network::new(DelayModel::Uniform { lo: 1, hi: 9 }, vec![], rng())
             .with_adversary(MessageAdversary::None, SplitMix64::new(77));
-        use crate::event::EventQueue;
         let mut q1 = EventQueue::new();
         let mut q2 = EventQueue::new();
         let mut arena1: MsgArena<u64> = MsgArena::new();
@@ -747,7 +714,6 @@ mod tests {
 
     #[test]
     fn drop_rule_loses_messages_deterministically() {
-        use crate::event::EventQueue;
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::drop(40)]);
         let run = || {
             let mut net = Network::new(DelayModel::Fixed(3), vec![], rng())
@@ -778,7 +744,6 @@ mod tests {
 
     #[test]
     fn duplicate_rule_schedules_a_second_copy() {
-        use crate::event::EventQueue;
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::duplicate(100)]);
         let mut net = Network::new(DelayModel::Fixed(2), vec![], rng())
             .with_adversary(adv, SplitMix64::new(9));
@@ -799,7 +764,6 @@ mod tests {
 
     #[test]
     fn corrupt_rule_stays_within_bound() {
-        use crate::event::EventQueue;
         let bound = 5u64;
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::corrupt(100, bound)]);
         let mut net = Network::new(DelayModel::Fixed(1), vec![], rng())
@@ -827,7 +791,6 @@ mod tests {
 
     #[test]
     fn protected_route_ignores_the_adversary() {
-        use crate::event::EventQueue;
         let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::drop(100)]);
         let mut net = Network::new(DelayModel::Fixed(1), vec![], rng())
             .with_adversary(adv, SplitMix64::new(3));
@@ -841,7 +804,6 @@ mod tests {
 
     #[test]
     fn windowed_drop_only_fires_inside_the_window() {
-        use crate::event::EventQueue;
         let adv = MessageAdversary::Rules(vec![
             crate::adversary::MessageRule::drop(100).window(Time::ZERO, Time(50))
         ]);
@@ -860,13 +822,11 @@ mod tests {
     /// The batching contract at the network level: `route_broadcast` is
     /// draw-for-draw and push-for-push identical to the historical
     /// per-recipient `route` loop — including the RNG stream positions it
-    /// leaves behind — with and without an armed adversary, on both queue
-    /// implementations. (Slot numbering differs between the two layouts —
+    /// leaves behind — with and without an armed adversary. (Slot numbering differs between the two layouts —
     /// the batch stores a clean broadcast once — so equality is checked on
     /// the observable: `(at, seq, to)` and the materialized payloads.)
     #[test]
     fn route_broadcast_matches_the_scalar_recipient_loop() {
-        use crate::event::{CalendarQueue, EventQueue};
         let adversaries = [
             MessageAdversary::None,
             MessageAdversary::Rules(vec![
@@ -881,7 +841,7 @@ mod tests {
                     .with_adversary(adv.clone(), SplitMix64::new(31).stream(0xADE5));
                 let mut batch_net = scalar_net.clone();
                 let mut scalar_q = EventQueue::new();
-                let mut batch_q = CalendarQueue::new();
+                let mut batch_q = EventQueue::new();
                 let mut scalar_arena: MsgArena<u64> = MsgArena::new();
                 let mut batch_arena: MsgArena<u64> = MsgArena::new();
                 let mut staging = Vec::new();
@@ -1053,7 +1013,6 @@ mod tests {
     /// Same contract for the protected (reliable-broadcast) path.
     #[test]
     fn route_protected_batch_matches_the_scalar_loop() {
-        use crate::event::EventQueue;
         let mut scalar_net = Network::new(DelayModel::default(), vec![], rng());
         let mut batch_net = scalar_net.clone();
         let mut scalar_q = EventQueue::new();
@@ -1166,7 +1125,6 @@ mod tests {
     /// stream positions, on plain and protected paths alike.
     #[test]
     fn topology_none_is_bit_identical_to_plain() {
-        use crate::event::EventQueue;
         let mut plain = Network::new(DelayModel::default(), vec![], rng());
         let mut explicit = Network::new(DelayModel::default(), vec![], rng())
             .with_topology(TopologySchedule::None, SplitMix64::new(123));
@@ -1200,7 +1158,6 @@ mod tests {
     /// the base delay draw happens before the fate is applied.
     #[test]
     fn severed_links_drop_structurally_and_heal_at_the_edge() {
-        use crate::event::EventQueue;
         let heal = Time(500);
         let sched = TopologySchedule::partition_until(islands_2x3(), heal);
         let mut cut = Network::new(DelayModel::default(), vec![], rng())
@@ -1246,7 +1203,6 @@ mod tests {
     /// topology stream, leaving the delay stream at clean-run positions.
     #[test]
     fn latency_override_draws_from_the_topology_stream() {
-        use crate::event::EventQueue;
         let (lo, hi) = (200u64, 300u64);
         let ep = TopologyEpoch::new(Time::ZERO, Time(1_000)).link(LinkOverride::latency(
             PSet::singleton(ProcessId(0)),
@@ -1295,7 +1251,6 @@ mod tests {
     /// partition — and the batched path matches the scalar one.
     #[test]
     fn protected_route_is_delayed_until_heal_never_lost() {
-        use crate::event::EventQueue;
         let heal = Time(400);
         let sched = TopologySchedule::partition_until(islands_2x3(), heal);
         let mut scalar = Network::new(DelayModel::default(), vec![], rng())
@@ -1346,7 +1301,6 @@ mod tests {
     /// adversary on top).
     #[test]
     fn route_broadcast_matches_scalar_loop_under_topology() {
-        use crate::event::{CalendarQueue, EventQueue};
         let sched = TopologySchedule::Epochs(vec![TopologyEpoch::new(Time::ZERO, Time(300))
             .islands(islands_2x3())
             .link(LinkOverride::latency(
@@ -1368,7 +1322,7 @@ mod tests {
                 .with_topology(sched.clone(), SplitMix64::new(31).stream(0x7090));
             let mut batch_net = scalar_net.clone();
             let mut scalar_q = EventQueue::new();
-            let mut batch_q = CalendarQueue::new();
+            let mut batch_q = EventQueue::new();
             let mut scalar_arena: MsgArena<u64> = MsgArena::new();
             let mut batch_arena: MsgArena<u64> = MsgArena::new();
             let mut staging = Vec::new();

@@ -7,7 +7,7 @@
 use crate::adversary::{BroadcastEffects, MessageAdversary, RouteEffects, TopologySchedule};
 use crate::arena::MsgArena;
 use crate::automaton::{Automaton, Ctx, Op};
-use crate::event::{EventCore, EventKind, QueueKind, Scheduler, Staged};
+use crate::event::{EventKind, EventQueue, Staged};
 use crate::failure::FailurePattern;
 use crate::id::{PSet, ProcessId};
 use crate::network::{DelayModel, DelayRule, Network};
@@ -64,9 +64,6 @@ pub struct SimConfig {
     pub rb_partial_pct: u8,
     /// Safety valve: abort after this many events (0 = unlimited).
     pub max_events: u64,
-    /// Which event-queue implementation drives the run. Both pop in the
-    /// same `(at, seq)` order, so this knob never changes a trace.
-    pub queue: QueueKind,
     /// The message adversary attacking the plain channels
     /// ([`MessageAdversary::None`] is bit-identical to no adversary at
     /// all; reliable-broadcast deliveries are exempt by construction).
@@ -100,7 +97,6 @@ impl SimConfig {
             // ~200 full broadcast rounds of headroom at the n = 1024
             // frontier, where a single pre-GST round is already ~1M events.
             max_events: 20_000_000u64.max((n as u64 * n as u64).saturating_mul(200)),
-            queue: QueueKind::default(),
             adversary: MessageAdversary::None,
             topology: TopologySchedule::None,
         }
@@ -109,12 +105,6 @@ impl SimConfig {
     /// Sets the seed (builder style).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the event-queue implementation (builder style).
-    pub fn queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -218,7 +208,7 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     halted: Vec<bool>,
     oracle: O,
     net: Network,
-    queue: EventCore,
+    queue: EventQueue,
     /// In-flight message payloads. Every routed message body lives here
     /// exactly once while any of its deliveries are pending; queued events
     /// carry only a `Copy` [`crate::arena::MsgSlot`] handle. A clean
@@ -232,7 +222,7 @@ pub struct Sim<A: Automaton, O: OracleSuite> {
     op_pool: Vec<Vec<Op<A::Msg>>>,
     /// Recycled broadcast staging buffer: every (plain or reliable)
     /// broadcast stages its deliveries here and flushes them through one
-    /// [`Scheduler::push_batch`] call, so steady-state broadcasting
+    /// [`EventQueue::push_batch`] call, so steady-state broadcasting
     /// allocates nothing per recipient either.
     staging: Vec<Staged>,
     /// One independent step-schedule stream per process, so that the
@@ -292,7 +282,7 @@ impl<A: Automaton, O: OracleSuite> Sim<A, O> {
             procs,
             oracle,
             net,
-            queue: EventCore::for_system(cfg.queue, cfg.n),
+            queue: EventQueue::new(),
             arena: MsgArena::with_capacity(cfg.n),
             op_pool: Vec::new(),
             staging: Vec::with_capacity(cfg.n + 1),
@@ -754,36 +744,6 @@ mod tests {
         }
     }
 
-    /// Full-run differential: both queue implementations must produce the
-    /// exact same trace (events, sends, decisions, histories) for the same
-    /// `(config, pattern, seed)`.
-    #[test]
-    fn queue_impls_are_run_identical() {
-        for seed in 0..24 {
-            let run = |queue: QueueKind| {
-                let cfg = SimConfig::new(6, 2).seed(seed).queue(queue);
-                let fp = FailurePattern::builder(6)
-                    .crash(ProcessId(0), Time(7))
-                    .crash(ProcessId(3), Time(40))
-                    .build();
-                let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-                let rep = sim.run();
-                (
-                    rep.events,
-                    rep.end,
-                    rep.trace.counter(counter::SENT),
-                    rep.trace.counter(counter::DELIVERED),
-                    rep.trace.decisions().to_vec(),
-                )
-            };
-            assert_eq!(
-                run(QueueKind::BinaryHeap),
-                run(QueueKind::Calendar),
-                "seed {seed} diverged between queue impls"
-            );
-        }
-    }
-
     #[test]
     fn late_joiner_starts_at_its_join_time() {
         // p2 joins at 50: it misses the t=0 broadcasts (dropped — it is
@@ -865,33 +825,6 @@ mod tests {
         assert_eq!((n.step_min, n.step_max), (1, 1));
     }
 
-    /// `QueueKind::Auto` (the default) resolves per run and never changes
-    /// a trace: small and large systems both match their explicitly chosen
-    /// concrete queue bit for bit.
-    #[test]
-    fn auto_queue_matches_both_concrete_queues() {
-        for (n, t) in [(6usize, 2usize), (40, 10)] {
-            let run = |queue: QueueKind| {
-                let cfg = SimConfig::new(n, t).seed(23).queue(queue);
-                let fp = FailurePattern::builder(n)
-                    .crash(ProcessId(0), Time(7))
-                    .build();
-                let mut sim = Sim::new(cfg, fp, counter, NoOracle);
-                let rep = sim.run();
-                (
-                    rep.events,
-                    rep.end,
-                    rep.trace.counter(counter::SENT),
-                    rep.trace.decisions().to_vec(),
-                )
-            };
-            assert_eq!(SimConfig::new(n, t).queue, QueueKind::Auto);
-            let auto = run(QueueKind::Auto);
-            assert_eq!(auto, run(QueueKind::Calendar), "n={n}");
-            assert_eq!(auto, run(QueueKind::BinaryHeap), "n={n}");
-        }
-    }
-
     #[test]
     fn explicit_none_adversary_is_bit_identical_to_default() {
         let run = |adv: MessageAdversary| {
@@ -955,15 +888,15 @@ mod tests {
             rep.trace.counter(counter::SENT) + dup,
             "each duplicate is one extra delivery"
         );
-        // Duplicates never break the two schedulers' pop-order agreement.
-        let rerun = |queue: QueueKind| {
-            let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::duplicate(50)]);
-            let cfg = SimConfig::new(5, 1).seed(12).adversary(adv).queue(queue);
-            let mut sim = Sim::new(cfg, FailurePattern::all_correct(5), counter, NoOracle);
-            let r = sim.run();
-            (r.events, r.trace.decisions().to_vec())
-        };
-        assert_eq!(rerun(QueueKind::BinaryHeap), rerun(QueueKind::Calendar));
+        // Determinism: the duplicating run reproduces bit-identically.
+        let adv = MessageAdversary::Rules(vec![crate::adversary::MessageRule::duplicate(50)]);
+        let cfg = SimConfig::new(5, 1).seed(12).adversary(adv);
+        let mut sim = Sim::new(cfg, FailurePattern::all_correct(5), counter, NoOracle);
+        let again = sim.run();
+        assert_eq!(
+            (rep.events, rep.trace.decisions()),
+            (again.events, again.trace.decisions())
+        );
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! exactly.
 
 use fd_sim::{
-    BroadcastEffects, CalendarQueue, Corruptible, DelayModel, DelayRule, EventKind, EventQueue,
-    FailurePattern, MessageAdversary, MessageRule, MsgArena, Network, PSet, ProcessId, Scheduler,
-    SplitMix64, Staged, Time,
+    BroadcastEffects, Corruptible, DelayModel, DelayRule, EventKind, EventQueue, FailurePattern,
+    MessageAdversary, MessageRule, MsgArena, Network, PSet, ProcessId, SplitMix64, Staged, Time,
 };
 
 const CASES: u64 = 128;
@@ -49,80 +48,6 @@ fn event_queue_fifo_among_ties() {
     }
 }
 
-#[test]
-fn calendar_queue_pops_exactly_like_the_heap() {
-    // The Scheduler determinism contract, property-style: any push
-    // sequence (random times, heavy ties, several widths) pops in the
-    // identical (at, seq) order on both implementations.
-    for case in 0..CASES {
-        let mut rng = rng_for(case, 7);
-        let width = 1 + rng.below(8);
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_width(width);
-        let len = 1 + rng.below(300) as usize;
-        for i in 0..len {
-            let t = rng.below(500);
-            heap.push(Time(t), ProcessId(i % 8), EventKind::Step);
-            cal.push(Time(t), ProcessId(i % 8), EventKind::Step);
-        }
-        for _ in 0..len {
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq, a.to),
-                (b.at, b.seq, b.to),
-                "case {case} (width {width}) diverged"
-            );
-        }
-        assert!(cal.pop().is_none());
-    }
-}
-
-#[test]
-fn deep_backlog_promotion_pops_exactly_like_the_heap() {
-    // The day-promotion property: an adversarial same-day backlog (random
-    // bursts into a handful of days, pushing buckets far past the
-    // promotion threshold, interleaved with pops and occasional far-future
-    // sparse days) still pops the identical (at, seq) sequence on both
-    // schedulers, for every width.
-    for case in 0..32 {
-        let mut rng = rng_for(case, 11);
-        let width = 1 + rng.below(4);
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_width(width);
-        let mut now = 0u64;
-        for _ in 0..1_500 {
-            let burst = 1 + rng.below(6);
-            for _ in 0..burst {
-                let t = if rng.chance(1, 25) {
-                    now + rng.below(5_000)
-                } else {
-                    now + rng.below(3)
-                };
-                heap.push(Time(t), ProcessId(0), EventKind::Step);
-                cal.push(Time(t), ProcessId(0), EventKind::Step);
-            }
-            let a = heap.pop().unwrap();
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq),
-                (b.at, b.seq),
-                "case {case} (width {width}) diverged mid-backlog"
-            );
-            now = a.at.ticks();
-        }
-        while let Some(a) = heap.pop() {
-            let b = cal.pop().unwrap();
-            assert_eq!(
-                (a.at, a.seq),
-                (b.at, b.seq),
-                "case {case} diverged in drain"
-            );
-        }
-        assert!(cal.pop().is_none());
-    }
-}
-
 /// Stages a broadcast through `route_broadcast` and replays the identical
 /// sends through the scalar `route` loop on an independent network clone;
 /// both the queue contents and the adversary effect totals must agree.
@@ -150,7 +75,7 @@ fn route_broadcast_equals_scalar_loop_under_every_adversary() {
             )
             .with_adversary(adv.clone(), SplitMix64::new(case).stream(6));
             let mut scalar_net = batch_net.clone();
-            let mut batch_q = CalendarQueue::new();
+            let mut batch_q = EventQueue::new();
             let mut scalar_q = EventQueue::new();
             let mut batch_arena: MsgArena<u64> = MsgArena::new();
             let mut scalar_arena: MsgArena<u64> = MsgArena::new();
@@ -240,18 +165,14 @@ type Popped = (Time, u64, ProcessId, u64);
 
 /// Routes `len` random messages through a fresh adversarial network into a
 /// queue, returning `(dropped ids, popped delivery sequence)`.
-fn route_case<Q: Scheduler + Default>(
-    case: u64,
-    adv: MessageAdversary,
-    len: usize,
-) -> (Vec<u64>, Vec<Popped>) {
+fn route_case(case: u64, adv: MessageAdversary, len: usize) -> (Vec<u64>, Vec<Popped>) {
     let mut net = Network::new(
         DelayModel::Uniform { lo: 1, hi: 12 },
         vec![],
         SplitMix64::new(case).stream(1),
     )
     .with_adversary(adv, SplitMix64::new(case).stream(2));
-    let mut q = Q::default();
+    let mut q = EventQueue::new();
     let mut arena: MsgArena<u64> = MsgArena::new();
     let mut dropped = Vec::new();
     let mut rng = rng_for(case, 9);
@@ -277,35 +198,33 @@ fn route_case<Q: Scheduler + Default>(
 #[test]
 fn drop_rule_same_seed_same_dropped_set() {
     // Satellite contract: the dropped message set is a pure function of the
-    // seed — across repeated runs and across queue implementations.
+    // seed.
     for case in 0..CASES {
         let adv = MessageAdversary::Rules(vec![MessageRule::drop(35)]);
-        let (d1, p1) = route_case::<EventQueue>(case, adv.clone(), 150);
-        let (d2, p2) = route_case::<EventQueue>(case, adv.clone(), 150);
+        let (d1, p1) = route_case(case, adv.clone(), 150);
+        let (d2, p2) = route_case(case, adv, 150);
         assert_eq!(d1, d2, "case {case}: dropped set not deterministic");
         assert_eq!(p1, p2, "case {case}: surviving schedule not deterministic");
-        let (d3, _) = route_case::<CalendarQueue>(case, adv, 150);
-        assert_eq!(d1, d3, "case {case}: dropped set depends on the queue");
         assert_eq!(d1.len() + p1.len(), 150);
     }
     // Across all cases the rule must actually fire somewhere.
     let adv = MessageAdversary::Rules(vec![MessageRule::drop(35)]);
-    let (d, _) = route_case::<EventQueue>(3, adv, 150);
+    let (d, _) = route_case(3, adv, 150);
     assert!(!d.is_empty());
 }
 
 #[test]
-fn duplication_never_reorders_pop_order_on_either_scheduler() {
-    // Satellite contract: with a duplication adversary in play, both
-    // scheduler implementations still pop the identical (at, seq) sequence,
-    // and that sequence is ascending.
+fn duplication_never_reorders_pop_order() {
+    // Satellite contract: with a duplication adversary in play, the queue
+    // still pops a strictly ascending (at, seq) sequence, and the same one
+    // on every rerun.
     for case in 0..CASES {
         let adv = MessageAdversary::Rules(vec![MessageRule::duplicate(40)]);
-        let (_, heap) = route_case::<EventQueue>(case, adv.clone(), 120);
-        let (_, cal) = route_case::<CalendarQueue>(case, adv, 120);
-        assert_eq!(heap, cal, "case {case}: queue impls diverged under dup");
+        let (_, popped) = route_case(case, adv.clone(), 120);
+        let (_, again) = route_case(case, adv, 120);
+        assert_eq!(popped, again, "case {case}: dup schedule not deterministic");
         let mut prev: Option<(Time, u64)> = None;
-        for &(at, seq, _, _) in &heap {
+        for &(at, seq, _, _) in &popped {
             if let Some(p) = prev {
                 assert!((at, seq) > p, "case {case}: pop order regressed");
             }
@@ -314,7 +233,7 @@ fn duplication_never_reorders_pop_order_on_either_scheduler() {
     }
     // Duplicates must exist somewhere across the cases.
     let adv = MessageAdversary::Rules(vec![MessageRule::duplicate(40)]);
-    let (_, popped) = route_case::<EventQueue>(1, adv, 120);
+    let (_, popped) = route_case(1, adv, 120);
     assert!(popped.len() > 120, "40% duplication produced no copies");
 }
 

@@ -232,43 +232,22 @@ mod tests {
         }
     }
 
+    /// End of the chain: the full ◇S_x + ◇φ_y → Ω_z → z-set agreement
+    /// stack passes, and a cached pipeline sweep is summary-identical to a
+    /// cold one without recomputing a run.
     #[test]
-    fn pipeline_queue_impls_are_fingerprint_identical() {
-        // End of the chain: the full ◇S_x + ◇φ_y → Ω_z → z-set agreement
-        // stack must not notice which event core drives it.
-        use fd_detectors::scenario::QueueKind;
-        for seed in 0..3 {
-            let base = PipelineScenario::spec(5, 2, 2, 1)
-                .gst(Time(400))
-                .seed(seed)
-                .max_time(Time(120_000));
-            let cal = PipelineScenario.run(&base.clone().queue(QueueKind::Calendar));
-            let heap = PipelineScenario.run(&base.clone().queue(QueueKind::BinaryHeap));
-            assert_eq!(cal.fingerprint(), heap.fingerprint(), "seed {seed}");
-            assert!(cal.check.ok, "seed {seed}: {}", cal.check);
-        }
-    }
-
-    /// End of the chain for PR-5's fronts: the full pipeline on the
-    /// default (`Auto`) queue matches both concrete queues, and a cached
-    /// pipeline sweep is summary-identical to a cold one without
-    /// recomputing a run.
-    #[test]
-    fn pipeline_auto_queue_and_cache_ride_the_engine() {
-        use fd_detectors::scenario::{QueueKind, ReportCache, Runner};
+    fn pipeline_cache_rides_the_engine() {
+        use fd_detectors::scenario::{ReportCache, Runner};
         let base = PipelineScenario::spec(5, 2, 2, 1)
             .gst(Time(400))
             .seed(1)
             .max_time(Time(120_000));
-        assert_eq!(base.queue, QueueKind::Auto);
-        let auto = PipelineScenario.run(&base);
-        let cal = PipelineScenario.run(&base.clone().queue(QueueKind::Calendar));
-        assert_eq!(auto.fingerprint(), cal.fingerprint());
         let cache: &'static ReportCache = Box::leak(Box::new(ReportCache::new()));
         let runner = Runner::with_threads(2).with_cache(cache);
         let cold = runner.sweep_summary(&PipelineScenario, &base, 0..3);
         let warm = runner.sweep_summary(&PipelineScenario, &base, 0..3);
         assert_eq!(warm, cold);
+        assert_eq!(cold.passes, 3, "the pipeline failed its check");
         assert_eq!(cache.misses(), 3, "warm pipeline sweep recomputed a run");
         assert_eq!(cache.hits(), 3);
     }

@@ -3,15 +3,12 @@
 //! in the activation loop) and through the erased
 //! `ScenarioSpec::build_oracle` shim (`Box<dyn OracleSuite>`) must be
 //! *bit-identical* — same oracle outputs for every choice, same full-run
-//! trace fingerprints across both event-queue implementations and across
-//! 1/2/4/8 runner threads. Devirtualizing the hot path is a pure
+//! trace fingerprints across 1/2/4/8 runner threads. Devirtualizing the hot path is a pure
 //! performance move; these tests pin that it stays one.
 
 use fd_grid::fd_core::{run_kset_with, KsetScenario};
 use fd_grid::fd_sim::OracleSuite;
-use fd_grid::scenario::{
-    CrashPlan, Flavour, OracleChoice, OracleVisitor, QueueKind, Runner, ScenarioSpec,
-};
+use fd_grid::scenario::{CrashPlan, Flavour, OracleChoice, OracleVisitor, Runner, ScenarioSpec};
 use fd_grid::{FailurePattern, PSet, ProcessId, Time};
 
 /// Which primitives an oracle choice answers (the others panic by
@@ -108,40 +105,37 @@ fn generic_and_boxed_oracles_answer_identically_for_every_choice() {
 
 /// Full k-set runs: the generic scenario path (`KsetScenario::run`, which
 /// dispatches through `with_oracle`) and the boxed path (`build_oracle` +
-/// `run_kset_with`) produce bit-identical trace fingerprints, on both
-/// concrete event queues, sequentially and under 1/2/4/8 worker threads.
+/// `run_kset_with`) produce bit-identical trace fingerprints, sequentially
+/// and under 1/2/4/8 worker threads.
 #[test]
-fn generic_and_boxed_kset_runs_are_bit_identical_across_queues_and_threads() {
+fn generic_and_boxed_kset_runs_are_bit_identical_across_threads() {
     let seeds = 0..6u64;
-    for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let spec = KsetScenario::spec(7, 3, 2)
-            .gst(Time(400))
-            .queue(queue)
-            .crashes(CrashPlan::Random {
-                f: 3,
-                by: Time(500),
-            });
-        // The boxed reference fingerprints, computed sequentially.
-        let boxed: Vec<u64> = seeds
-            .clone()
-            .map(|seed| {
-                let spec = spec.clone().seed(seed);
-                let fp = spec.materialize();
-                let oracle = spec.build_oracle(&fp);
-                run_kset_with(&spec, fp, oracle).fingerprint()
-            })
+    let spec = KsetScenario::spec(7, 3, 2)
+        .gst(Time(400))
+        .crashes(CrashPlan::Random {
+            f: 3,
+            by: Time(500),
+        });
+    // The boxed reference fingerprints, computed sequentially.
+    let boxed: Vec<u64> = seeds
+        .clone()
+        .map(|seed| {
+            let spec = spec.clone().seed(seed);
+            let fp = spec.materialize();
+            let oracle = spec.build_oracle(&fp);
+            run_kset_with(&spec, fp, oracle).fingerprint()
+        })
+        .collect();
+    for threads in [1usize, 2, 4, 8] {
+        let runner = Runner::with_threads(threads);
+        let generic: Vec<u64> = runner
+            .sweep(&KsetScenario, &spec, seeds.clone())
+            .iter()
+            .map(|r| r.fingerprint())
             .collect();
-        for threads in [1usize, 2, 4, 8] {
-            let runner = Runner::with_threads(threads);
-            let generic: Vec<u64> = runner
-                .sweep(&KsetScenario, &spec, seeds.clone())
-                .iter()
-                .map(|r| r.fingerprint())
-                .collect();
-            assert_eq!(
-                generic, boxed,
-                "queue {queue:?}, {threads} threads: generic dispatch diverged from the dyn shim"
-            );
-        }
+        assert_eq!(
+            generic, boxed,
+            "{threads} threads: generic dispatch diverged from the dyn shim"
+        );
     }
 }

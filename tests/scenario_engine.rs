@@ -1,15 +1,13 @@
 //! Scenario-engine smoke matrix (the acceptance suite of the unified
 //! engine): the whole `(n, k = z)` × crash-plan grid satisfies the k-set
 //! agreement specification, parallel multi-seed sweeps are bit-identical
-//! to sequential ones (determinism under threading), the calendar queue is
-//! bit-identical to the reference binary heap (determinism under the event
-//! core), and noise oracles outside their class envelope are *rejected* by
+//! to sequential ones (determinism under threading), and noise oracles outside their class envelope are *rejected* by
 //! the checkers (negative scenarios — a passing check is the test
 //! failure).
 
 use fd_grid::fd_core::spec;
 use fd_grid::fd_core::KsetScenario;
-use fd_grid::scenario::{CrashPlan, QueueKind, Runner, Scenario, ScenarioReport, SweepSummary};
+use fd_grid::scenario::{CrashPlan, Runner, Scenario, ScenarioReport, SweepSummary};
 use fd_grid::{FailurePattern, MessageAdversary, MessageRule, ProcessId, Time, Trace};
 
 /// Every `(n, t)` scale of the matrix keeps `t < n/2`.
@@ -167,8 +165,8 @@ fn streaming_sweep_matches_eager_summary() {
     }
 }
 
-/// The mixed-scale grid the queue differential runs over: ≥256 runs across
-/// n = 5 / 9 / 13, failure-free and anarchic cells.
+/// The mixed-scale grid the thread differentials run over: ≥256 runs
+/// across n = 5 / 9 / 13, failure-free and anarchic cells.
 fn differential_grid() -> Vec<fd_grid::ScenarioSpec> {
     let mut specs = Vec::new();
     for &(n, t) in &[(5usize, 2usize), (9, 4), (13, 6)] {
@@ -191,61 +189,19 @@ fn differential_grid() -> Vec<fd_grid::ScenarioSpec> {
     specs
 }
 
-/// The tentpole's differential contract: the calendar queue and the binary
-/// heap produce bit-identical traces for every run of a 258-spec mixed
-/// n=5/9/13 grid, at every thread count in {1, 2, 4, 8} — the event core
-/// is swappable without perturbing one recorded number.
-#[test]
-fn calendar_and_heap_are_fingerprint_identical_across_grid_and_threads() {
-    let specs = differential_grid();
-    assert!(specs.len() >= 256, "grid too small: {}", specs.len());
-    let baseline: Vec<String> = Runner::sequential()
-        .grid(
-            &KsetScenario,
-            &specs
-                .iter()
-                .map(|s| s.clone().queue(QueueKind::BinaryHeap))
-                .collect::<Vec<_>>(),
-        )
-        .iter()
-        .map(fingerprint)
-        .collect();
-    for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let queued: Vec<fd_grid::ScenarioSpec> =
-            specs.iter().map(|s| s.clone().queue(queue)).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let prints: Vec<String> = Runner::with_threads(threads)
-                .grid(&KsetScenario, &queued)
-                .iter()
-                .map(fingerprint)
-                .collect();
-            assert_eq!(
-                baseline,
-                prints,
-                "queue={} threads={threads} diverged from heap@sequential",
-                queue.name()
-            );
-        }
-    }
-}
-
 mod batching {
     //! The broadcast-batching acceptance suite: `Network::route_broadcast`
-    //! with `Scheduler::push_batch` (and the promoted calendar day buckets
-    //! underneath) is bit-identical to the per-recipient routing loop of
-    //! the previous engine, across scales, thread counts, and queues —
-    //! including `QueueKind::Auto`, which resolves per run and must never
-    //! change a trace.
+    //! with `EventQueue::push_batch` is bit-identical to the per-recipient
+    //! routing loop of the previous engine, across scales and thread
+    //! counts.
 
     use super::*;
 
     /// `KsetScenario` fingerprints recorded on the *pre-batching* engine
-    /// (per-recipient `route` loop, unpromoted calendar buckets) for the
-    /// n = 33 grid below — the large-fan-out complement of
-    /// [`super::adversary::PR3_DIGESTS`], where a broadcast stages 33
-    /// deliveries per call and same-day buckets run far past the
-    /// promotion threshold. If any of these moves, batch routing (or day
-    /// promotion, or the `Auto` resolution) perturbed a draw or a pop.
+    /// (per-recipient `route` loop) for the n = 33 grid below — the
+    /// large-fan-out complement of [`super::adversary::PR3_DIGESTS`], where
+    /// a broadcast stages 33 deliveries per call. If any of these moves,
+    /// batch routing perturbed a draw or a pop.
     const PRE_BATCH_N33_DIGESTS: [u64; 8] = [
         0x4ff6a2224212ccb2,
         0x611764dd8f5dc92a,
@@ -290,10 +246,9 @@ mod batching {
     }
 
     /// The batched engine is fingerprint-identical across n = 5/9/13/33 at
-    /// 1/2/4/8 threads on `Auto` and both concrete queues (all compared
-    /// against the sequential binary-heap baseline).
+    /// 1/2/4/8 threads (all compared against the sequential baseline).
     #[test]
-    fn broadcast_batching_is_identical_across_scales_threads_and_queues() {
+    fn broadcast_batching_is_identical_across_scales_and_threads() {
         let mut specs = Vec::new();
         for &(n, t) in &[(5usize, 2usize), (9, 4), (13, 6), (33, 16)] {
             for seed in 0..2 {
@@ -313,39 +268,27 @@ mod batching {
             }
         }
         let baseline: Vec<String> = Runner::sequential()
-            .grid(
-                &KsetScenario,
-                &specs
-                    .iter()
-                    .map(|s| s.clone().queue(QueueKind::BinaryHeap))
-                    .collect::<Vec<_>>(),
-            )
+            .grid(&KsetScenario, &specs)
             .iter()
             .map(fingerprint)
             .collect();
-        for queue in [QueueKind::Auto, QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let queued: Vec<fd_grid::ScenarioSpec> =
-                specs.iter().map(|s| s.clone().queue(queue)).collect();
-            for threads in [1usize, 2, 4, 8] {
-                let prints: Vec<String> = Runner::with_threads(threads)
-                    .grid(&KsetScenario, &queued)
-                    .iter()
-                    .map(fingerprint)
-                    .collect();
-                assert_eq!(
-                    baseline,
-                    prints,
-                    "queue={} threads={threads} diverged from heap@sequential",
-                    queue.name()
-                );
-            }
+        for threads in [1usize, 2, 4, 8] {
+            let prints: Vec<String> = Runner::with_threads(threads)
+                .grid(&KsetScenario, &specs)
+                .iter()
+                .map(fingerprint)
+                .collect();
+            assert_eq!(
+                baseline, prints,
+                "threads={threads} diverged from sequential"
+            );
         }
     }
 
     /// Satellite (c) at the engine level, on the real algorithm: a
     /// cache-hit sweep folds to a bit-identical `SweepSummary` and never
     /// recomputes a run (the miss tally — i.e. actual simulations — stays
-    /// frozen across warm passes, even on the other event core).
+    /// frozen across warm passes, at any thread count).
     #[test]
     fn cached_kset_sweep_is_bit_identical_and_computes_nothing() {
         use fd_grid::scenario::ReportCache;
@@ -360,10 +303,10 @@ mod batching {
                 .sweep_summary(&KsetScenario, &base, 0..32);
         assert!(cold.all_pass());
         assert_eq!((cache.misses(), cache.hits()), (32, 0));
-        for (threads, queue) in [(1usize, QueueKind::Auto), (4, QueueKind::BinaryHeap)] {
+        for threads in [1usize, 4] {
             let warm = Runner::with_threads(threads)
                 .with_cache(cache)
-                .sweep_summary(&KsetScenario, &base.clone().queue(queue), 0..32);
+                .sweep_summary(&KsetScenario, &base, 0..32);
             assert_eq!(warm, cold, "threads={threads}: warm summary diverged");
             assert_eq!(
                 cache.misses(),
@@ -488,10 +431,10 @@ mod adversary {
     }
 
     #[test]
-    fn armed_adversary_is_deterministic_across_threads_and_queues() {
+    fn armed_adversary_is_deterministic_across_threads() {
         // An *armed* adversary (drop + dup + corrupt, windowed) is just as
-        // deterministic as the clean engine: same seed ⇒ same run, on both
-        // event cores, at any thread count.
+        // deterministic as the clean engine: same seed ⇒ same run, at any
+        // thread count.
         let adv = MessageAdversary::Rules(vec![
             MessageRule::drop(10).window(Time::ZERO, Time(400)),
             MessageRule::duplicate(10).window(Time::ZERO, Time(400)),
@@ -511,22 +454,16 @@ mod adversary {
             .iter()
             .map(fingerprint)
             .collect();
-        for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let queued: Vec<fd_grid::ScenarioSpec> =
-                specs.iter().map(|s| s.clone().queue(queue)).collect();
-            for threads in [2usize, 8] {
-                let prints: Vec<String> = Runner::with_threads(threads)
-                    .grid(&KsetScenario, &queued)
-                    .iter()
-                    .map(fingerprint)
-                    .collect();
-                assert_eq!(
-                    baseline,
-                    prints,
-                    "queue={} threads={threads} diverged under the armed adversary",
-                    queue.name()
-                );
-            }
+        for threads in [2usize, 8] {
+            let prints: Vec<String> = Runner::with_threads(threads)
+                .grid(&KsetScenario, &specs)
+                .iter()
+                .map(fingerprint)
+                .collect();
+            assert_eq!(
+                baseline, prints,
+                "threads={threads} diverged under the armed adversary"
+            );
         }
     }
 
@@ -594,7 +531,7 @@ mod topology {
     //! The topology-adversary acceptance suite: the unset-schedule
     //! differential (the new `fate()` branch costs zero draws and stays
     //! bit-identical to every recorded digest), determinism with a
-    //! schedule *set* (both event cores, 1 / 4 threads), and the
+    //! schedule *set* (1 / 4 threads), and the
     //! liveness-flip witnesses around the heal-time threshold.
 
     use super::adversary::{pinned_grid, PR3_DIGESTS};
@@ -632,10 +569,10 @@ mod topology {
     }
 
     #[test]
-    fn armed_schedule_is_deterministic_across_threads_and_queues() {
+    fn armed_schedule_is_deterministic_across_threads() {
         // A schedule mixing a partition epoch with an asymmetric latency
         // epoch is as deterministic as the clean engine: same seed ⇒ same
-        // run, on both event cores, sequential or work-stealing.
+        // run, sequential or work-stealing.
         let all: PSet = (0..5).map(ProcessId).collect();
         let last: PSet = (4..5).map(ProcessId).collect();
         let topo = TopologySchedule::Epochs(vec![
@@ -657,22 +594,16 @@ mod topology {
             .iter()
             .map(fingerprint)
             .collect();
-        for queue in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            let queued: Vec<fd_grid::ScenarioSpec> =
-                specs.iter().map(|s| s.clone().queue(queue)).collect();
-            for threads in [1usize, 4] {
-                let prints: Vec<String> = Runner::with_threads(threads)
-                    .grid(&KsetScenario, &queued)
-                    .iter()
-                    .map(fingerprint)
-                    .collect();
-                assert_eq!(
-                    baseline,
-                    prints,
-                    "queue={} threads={threads} diverged under the schedule",
-                    queue.name()
-                );
-            }
+        for threads in [1usize, 4] {
+            let prints: Vec<String> = Runner::with_threads(threads)
+                .grid(&KsetScenario, &specs)
+                .iter()
+                .map(fingerprint)
+                .collect();
+            assert_eq!(
+                baseline, prints,
+                "threads={threads} diverged under the schedule"
+            );
         }
     }
 
@@ -818,8 +749,6 @@ mod churn_catch_up {
             let a = ChurnKsetScenario.run(&spec);
             let b = ChurnKsetScenario.run(&spec);
             assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed}");
-            let heap = ChurnKsetScenario.run(&spec.clone().queue(QueueKind::BinaryHeap));
-            assert_eq!(a.fingerprint(), heap.fingerprint(), "seed {seed}");
         }
     }
 }
@@ -830,8 +759,8 @@ mod churn_catch_up {
 #[test]
 fn churn_edge_cases_run_deterministically() {
     // Rejoin at (in fact past) the horizon: the fresh ids never activate,
-    // and the run must complete without panicking, identically on both
-    // event cores.
+    // and the run must complete without panicking, identically on a
+    // rerun.
     let at_horizon = KsetScenario::spec(5, 2, 2)
         .gst(Time(300))
         .max_time(Time(2_000))
@@ -873,11 +802,11 @@ fn churn_edge_cases_run_deterministically() {
                 spec::k_agreement(&rep.trace, 2).ok,
                 "{label} seed {seed}: agreement violated"
             );
-            let heap = KsetScenario.run(&spec.clone().queue(QueueKind::BinaryHeap));
+            let again = KsetScenario.run(&spec);
             assert_eq!(
                 rep.fingerprint(),
-                heap.fingerprint(),
-                "{label} seed {seed}: queue impls diverged under churn"
+                again.fingerprint(),
+                "{label} seed {seed}: rerun diverged under churn"
             );
         }
     }
